@@ -1,0 +1,42 @@
+//go:build linux
+
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsMagic names the statfs(2) f_type values of common filesystems.
+var fsMagic = map[int64]string{
+	0xEF53:     "ext4",
+	0x01021994: "tmpfs",
+	0x58465342: "xfs",
+	0x9123683E: "btrfs",
+	0x794C7630: "overlayfs",
+	0x6969:     "nfs",
+	0x2FC12FC1: "zfs",
+	0x65735546: "fuse",
+	0x858458F6: "ramfs",
+}
+
+// fsType names the filesystem holding dir.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	if name, ok := fsMagic[int64(st.Type)]; ok {
+		return name
+	}
+	return fmt.Sprintf("0x%x", st.Type)
+}
+
+// maxRSSBytes is the process's peak resident set size.
+func maxRSSBytes() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Maxrss) * 1024 // kilobytes on Linux
+}
