@@ -8,8 +8,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet; staticcheck runs when the binary is on PATH
-# (CI installs it, bare dev machines skip cleanly rather than failing).
+# Static analysis beyond vet. CI installs pinned staticcheck and errcheck
+# releases (.github/workflows/ci.yml); a local run skips any linter that is
+# not on PATH, so an offline machine still gets vet.
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not on PATH; skipping"; fi

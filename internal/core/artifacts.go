@@ -9,6 +9,7 @@ import (
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -103,7 +104,7 @@ func (a *RunArtifacts) writeLogs(dir string) error {
 }
 
 func (a *RunArtifacts) writeTopic(dir, topic string) error {
-	metas, err := DrainTopic(a.Broker, topic)
+	metas, err := provenance.DrainTopic(a.Broker, topic)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/dask"
 	mcluster "taskprov/internal/mofka/cluster"
+	"taskprov/internal/provenance"
 )
 
 // clusterSession is testSession targeting a 3-broker, RF=2 sharded Mofka
@@ -40,7 +41,7 @@ func clusterRun(t *testing.T, seed uint64, chaosSpec string) *RunArtifacts {
 // streams compare event for event.
 func drainJSON(t *testing.T, art *RunArtifacts, topic string) []string {
 	t.Helper()
-	metas, err := DrainTopic(art.Broker, topic)
+	metas, err := provenance.DrainTopic(art.Broker, topic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestClusterChaosFailover(t *testing.T) {
 	// Zero acknowledged-event loss: every provenance topic matches the
 	// no-crash run event for event (the views perfrecup builds are pure
 	// functions of these streams, so view equality follows).
-	for _, topic := range []string{TopicTaskMeta, TopicTransitions, TopicExecutions, TopicTransfers, TopicGraphs, TopicSteals} {
+	for _, topic := range []string{provenance.TopicTaskMeta, provenance.TopicTransitions, provenance.TopicExecutions, provenance.TopicTransfers, provenance.TopicGraphs, provenance.TopicSteals} {
 		got := drainJSON(t, crash, topic)
 		want := drainJSON(t, baseline, topic)
 		if len(got) != len(want) {
@@ -168,14 +169,14 @@ func TestClusterChaosFailover(t *testing.T) {
 
 	// The failover story is on the warnings topic: broker death, leader
 	// elections away from the dead node, the rejoin, and replica catch-up.
-	metas, err := DrainTopic(crash.Broker, TopicWarnings)
+	metas, err := provenance.DrainTopic(crash.Broker, provenance.TopicWarnings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := make(map[dask.WarningKind]int)
 	var daskWarns []dask.Warning
 	for _, m := range metas {
-		w := ParseWarning(m)
+		w := provenance.ParseWarning(m)
 		kinds[w.Kind]++
 		if !strings.HasPrefix(string(w.Kind), "cluster_") && w.Kind != dask.WarnProducerDegraded {
 			daskWarns = append(daskWarns, w)
@@ -191,13 +192,13 @@ func TestClusterChaosFailover(t *testing.T) {
 		t.Fatalf("no leader elections recorded (kinds: %v)", kinds)
 	}
 	// No worker was harmed: the dask-level warning stream matches baseline.
-	bmetas, err := DrainTopic(baseline.Broker, TopicWarnings)
+	bmetas, err := provenance.DrainTopic(baseline.Broker, provenance.TopicWarnings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var baseWarns []dask.Warning
 	for _, m := range bmetas {
-		w := ParseWarning(m)
+		w := provenance.ParseWarning(m)
 		if !strings.HasPrefix(string(w.Kind), "cluster_") && w.Kind != dask.WarnProducerDegraded {
 			baseWarns = append(baseWarns, w)
 		}

@@ -15,6 +15,7 @@ import (
 	"taskprov/internal/pfs"
 	"taskprov/internal/platform"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -108,31 +109,31 @@ func TestEventStreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := DrainTopic(art.Broker, TopicTransitions)
+	trans, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
 	if err != nil || len(trans) == 0 {
 		t.Fatalf("transitions = %d, %v", len(trans), err)
 	}
 	for _, m := range trans {
-		tr := ParseTransition(m)
+		tr := provenance.ParseTransition(m)
 		if tr.Key == "" || tr.To == "" || tr.Location == "" {
 			t.Fatalf("bad transition: %+v", tr)
 		}
 	}
-	execs, err := DrainTopic(art.Broker, TopicExecutions)
+	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil || len(execs) != 9 {
 		t.Fatalf("executions = %d, %v", len(execs), err)
 	}
 	for _, m := range execs {
-		e := ParseExecution(m)
+		e := provenance.ParseExecution(m)
 		if e.ThreadID == 0 || e.Stop <= e.Start || e.Hostname == "" {
 			t.Fatalf("bad execution: %+v", e)
 		}
 	}
-	metas, err := DrainTopic(art.Broker, TopicTaskMeta)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
 	if err != nil || len(metas) != 9 {
 		t.Fatalf("task metas = %d, %v", len(metas), err)
 	}
-	tm := ParseTaskMeta(metas[len(metas)-1])
+	tm := provenance.ParseTaskMeta(metas[len(metas)-1])
 	if tm.Key == "" || tm.Prefix == "" {
 		t.Fatalf("bad task meta: %+v", tm)
 	}
@@ -140,38 +141,38 @@ func TestEventStreamsDecode(t *testing.T) {
 
 func TestRoundTripEncodeParse(t *testing.T) {
 	tr := dask.Transition{Key: "k-1", From: "waiting", To: "processing", Stimulus: "ready", Location: "scheduler", At: sim.Seconds(1.5)}
-	if got := ParseTransition(TransitionEvent(tr)); got != tr {
+	if got := provenance.ParseTransition(provenance.TransitionEvent(tr)); got != tr {
 		t.Fatalf("transition round trip: %+v vs %+v", got, tr)
 	}
 	ex := dask.TaskExecution{Key: "k-1", Worker: "tcp://n:40000", Hostname: "n", ThreadID: 1001, Start: sim.Seconds(1), Stop: sim.Seconds(2), OutputSize: 77, GraphID: 3,
 		Files: []dask.FileEffect{{Path: "/lus/out.bin", SizeAfter: 77}}}
-	if got := ParseExecution(ExecutionEvent(ex)); !reflect.DeepEqual(got, ex) {
+	if got := provenance.ParseExecution(provenance.ExecutionEvent(ex)); !reflect.DeepEqual(got, ex) {
 		t.Fatalf("execution round trip: %+v vs %+v", got, ex)
 	}
 	tf := dask.Transfer{Key: "k-1", From: "a", To: "b", Bytes: 123, Start: sim.Seconds(1), Stop: sim.Seconds(2), SameNode: true}
-	if got := ParseTransfer(TransferEvent(tf)); got != tf {
+	if got := provenance.ParseTransfer(provenance.TransferEvent(tf)); got != tf {
 		t.Fatalf("transfer round trip: %+v vs %+v", got, tf)
 	}
 	ptf := dask.Transfer{Key: "k-2", From: "a", To: "b", Bytes: 1 << 20, Start: sim.Seconds(1), Stop: sim.Seconds(2),
 		ViaProxy: true, ResolveLatency: sim.Milliseconds(35)}
-	if got := ParseTransfer(TransferEvent(ptf)); got != ptf {
+	if got := provenance.ParseTransfer(provenance.TransferEvent(ptf)); got != ptf {
 		t.Fatalf("proxied transfer round trip: %+v vs %+v", got, ptf)
 	}
 	pe := dask.ProxyEvent{Op: dask.ProxyOpResolve, Key: "k-2", Worker: "tcp://n:40001", Bytes: 1 << 20,
 		Resident: 3 << 20, ResolveLatency: sim.Milliseconds(35), At: sim.Seconds(2)}
-	if got := ParseProxyEvent(ProxyEventMeta(pe)); got != pe {
+	if got := provenance.ParseProxyEvent(provenance.ProxyEventMeta(pe)); got != pe {
 		t.Fatalf("proxy event round trip: %+v vs %+v", got, pe)
 	}
 	w := dask.Warning{Kind: dask.WarnGC, Worker: "w", Hostname: "h", At: sim.Seconds(3), Duration: sim.Seconds(0.25), Message: "gc"}
-	if got := ParseWarning(WarningEvent(w)); got != w {
+	if got := provenance.ParseWarning(provenance.WarningEvent(w)); got != w {
 		t.Fatalf("warning round trip: %+v vs %+v", got, w)
 	}
 	hb := dask.WorkerMetrics{Worker: "w", At: sim.Seconds(4), Memory: 5, Executing: 6, Ready: 7}
-	if got := ParseHeartbeat(HeartbeatEvent(hb)); got != hb {
+	if got := provenance.ParseHeartbeat(provenance.HeartbeatEvent(hb)); got != hb {
 		t.Fatalf("heartbeat round trip: %+v vs %+v", got, hb)
 	}
 	st := dask.StealEvent{Key: "k", Victim: "v", Thief: "t", At: sim.Seconds(5)}
-	if got := ParseSteal(StealEventMeta(st)); got != st {
+	if got := provenance.ParseSteal(provenance.StealEventMeta(st)); got != st {
 		t.Fatalf("steal round trip: %+v vs %+v", got, st)
 	}
 }
@@ -263,8 +264,8 @@ func TestCollectorCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Collector.EventCount(TopicExecutions) != 6 {
-		t.Fatalf("execution events = %d", art.Collector.EventCount(TopicExecutions))
+	if art.Collector.EventCount(provenance.TopicExecutions) != 6 {
+		t.Fatalf("execution events = %d", art.Collector.EventCount(provenance.TopicExecutions))
 	}
 	if art.Collector.TotalEvents() < 20 {
 		t.Fatalf("total events = %d", art.Collector.TotalEvents())
@@ -290,14 +291,14 @@ func TestInSituMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon.Stop()
-	if got := mon.EventCount(TopicExecutions); got != 11 {
+	if got := mon.EventCount(provenance.TopicExecutions); got != 11 {
 		t.Fatalf("in-situ executions = %d, want 11", got)
 	}
-	post, err := DrainTopic(art.Broker, TopicTransitions)
+	post, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.EventCount(TopicTransitions); got != int64(len(post)) {
+	if got := mon.EventCount(provenance.TopicTransitions); got != int64(len(post)) {
 		t.Fatalf("in-situ transitions = %d, post-mortem = %d", got, len(post))
 	}
 	key, dur := mon.LongestTask()
@@ -353,11 +354,11 @@ func TestRemoteCollectorOverTCP(t *testing.T) {
 	rc.Flush()
 
 	// All executions arrived on the remote broker.
-	evs, err := remote.Pull(TopicExecutions, 0, 0, 1000, false)
+	evs, err := remote.Pull(provenance.TopicExecutions, 0, 0, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs2, err := remote.Pull(TopicExecutions, 1, 0, 1000, false)
+	evs2, err := remote.Pull(provenance.TopicExecutions, 1, 0, 1000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestOnlineIOTracer(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := DrainTopic(broker, TopicIOTrace)
+	metas, err := provenance.DrainTopic(broker, TopicIOTrace)
 	if err != nil || len(metas) != 4 {
 		t.Fatalf("streamed events = %d, %v", len(metas), err)
 	}
@@ -452,8 +453,8 @@ func TestOnlineIOTracer(t *testing.T) {
 	// the multiset of operations and the identity fields.
 	got := map[string]int{}
 	for i, m := range metas {
-		got[str(m, "op")]++
-		if str(m, "hostname") != "n0" || uint64(num(m, "thread_id")) != 9 {
+		got[provenance.Str(m, "op")]++
+		if provenance.Str(m, "hostname") != "n0" || uint64(provenance.Num(m, "thread_id")) != 9 {
 			t.Fatalf("event %d identity wrong: %v", i, m)
 		}
 	}
@@ -509,13 +510,13 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metas, err := DrainTopic(broker, TopicIOTrace)
+	metas, err := provenance.DrainTopic(broker, TopicIOTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamedRW int
 	for _, m := range metas {
-		if op := str(m, "op"); op == "read" || op == "write" {
+		if op := provenance.Str(m, "op"); op == "read" || op == "write" {
 			streamedRW++
 		}
 	}

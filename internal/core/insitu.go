@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 )
 
 // InSituMonitor is the paper's in situ consumption mode: an analysis
@@ -38,7 +39,7 @@ func NewInSituMonitor(broker *mofka.Broker) (*InSituMonitor, error) {
 		warn:   make(map[string]int64),
 		stop:   make(chan struct{}),
 	}
-	for _, name := range AllTopics() {
+	for _, name := range provenance.AllTopics() {
 		t, err := broker.OpenOrCreateTopic(mofka.TopicConfig{Name: name, Partitions: 2})
 		if err != nil {
 			return nil, err
@@ -86,15 +87,15 @@ func (m *InSituMonitor) observe(topic string, ev mofka.Event) {
 	defer m.mu.Unlock()
 	m.counts[topic]++
 	switch topic {
-	case TopicWarnings:
+	case provenance.TopicWarnings:
 		if meta, err := ev.ParseMetadata(); err == nil {
-			m.warn[str(meta, "kind")]++
+			m.warn[provenance.Str(meta, "kind")]++
 		}
-	case TopicExecutions:
+	case provenance.TopicExecutions:
 		if meta, err := ev.ParseMetadata(); err == nil {
-			if d := num(meta, "stop") - num(meta, "start"); d > m.maxDur {
+			if d := provenance.Num(meta, "stop") - provenance.Num(meta, "start"); d > m.maxDur {
 				m.maxDur = d
-				m.maxKey = str(meta, "key")
+				m.maxKey = provenance.Str(meta, "key")
 			}
 		}
 	}
@@ -132,7 +133,7 @@ func (m *InSituMonitor) Snapshot() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := "in-situ monitor:\n"
-	for _, t := range AllTopics() {
+	for _, t := range provenance.AllTopics() {
 		s += fmt.Sprintf("  %-18s %d events\n", t, m.counts[t])
 	}
 	if m.maxKey != "" {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"taskprov/internal/provenance"
 )
 
 // The paper's job-layer provenance keeps the raw scheduler and worker logs
@@ -32,7 +34,7 @@ func renderLines(lines []logLine) string {
 // submissions, task erred events, steals, and graph completions.
 func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	var lines []logLine
-	metas, err := DrainTopic(art.Broker, TopicTaskMeta)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return "", err
 	}
@@ -40,7 +42,7 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	graphCount := map[int]int{}
 	graphAt := map[int]float64{}
 	for _, m := range metas {
-		tm := ParseTaskMeta(m)
+		tm := provenance.ParseTaskMeta(m)
 		graphCount[tm.GraphID]++
 		if !graphSeen[tm.GraphID] {
 			graphSeen[tm.GraphID] = true
@@ -51,12 +53,12 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{at, fmt.Sprintf(
 			"INFO  - Receive graph %d (%d tasks) from client", id, graphCount[id])})
 	}
-	trans, err := DrainTopic(art.Broker, TopicTransitions)
+	trans, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		return "", err
 	}
 	for _, m := range trans {
-		tr := ParseTransition(m)
+		tr := provenance.ParseTransition(m)
 		if tr.Location != "scheduler" {
 			continue
 		}
@@ -69,22 +71,22 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 				"WARN  - Retrying task %s after failure", tr.Key)})
 		}
 	}
-	steals, err := DrainTopic(art.Broker, TopicSteals)
+	steals, err := provenance.DrainTopic(art.Broker, provenance.TopicSteals)
 	if err != nil {
 		return "", err
 	}
 	for _, m := range steals {
-		s := ParseSteal(m)
+		s := provenance.ParseSteal(m)
 		lines = append(lines, logLine{s.At.Seconds(), fmt.Sprintf(
 			"INFO  - Moving task %s from %s to %s (work stealing)", s.Key, s.Victim, s.Thief)})
 	}
-	graphs, err := DrainTopic(art.Broker, TopicGraphs)
+	graphs, err := provenance.DrainTopic(art.Broker, provenance.TopicGraphs)
 	if err != nil {
 		return "", err
 	}
 	for _, m := range graphs {
-		lines = append(lines, logLine{num(m, "at"), fmt.Sprintf(
-			"INFO  - Graph %d complete", int(num(m, "graph_id")))})
+		lines = append(lines, logLine{provenance.Num(m, "at"), fmt.Sprintf(
+			"INFO  - Graph %d complete", int(provenance.Num(m, "graph_id")))})
 	}
 	return renderLines(lines), nil
 }
@@ -93,12 +95,12 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 // exact phrasing Dask workers emit (the strings log-scrapers match on).
 func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 	var lines []logLine
-	warns, err := DrainTopic(art.Broker, TopicWarnings)
+	warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return "", err
 	}
 	for _, m := range warns {
-		w := ParseWarning(m)
+		w := provenance.ParseWarning(m)
 		if w.Worker != worker {
 			continue
 		}
@@ -113,13 +115,13 @@ func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 			lines = append(lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := DrainTopic(art.Broker, TopicExecutions)
+	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return "", err
 	}
 	n := 0
 	for _, m := range execs {
-		if str(m, "worker") == worker {
+		if provenance.Str(m, "worker") == worker {
 			n++
 		}
 	}
@@ -131,20 +133,20 @@ func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 
 // WorkerAddrs lists the worker addresses observed in the run.
 func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
-	execs, err := DrainTopic(a.Broker, TopicExecutions)
+	execs, err := provenance.DrainTopic(a.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, err
 	}
 	set := map[string]bool{}
 	for _, m := range execs {
-		set[str(m, "worker")] = true
+		set[provenance.Str(m, "worker")] = true
 	}
-	hbs, err := DrainTopic(a.Broker, TopicHeartbeats)
+	hbs, err := provenance.DrainTopic(a.Broker, provenance.TopicHeartbeats)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range hbs {
-		set[str(m, "worker")] = true
+		set[provenance.Str(m, "worker")] = true
 	}
 	var out []string
 	for w := range set {

@@ -1,3 +1,20 @@
+// Package core is the paper's primary contribution: the layered
+// characterization framework. It wires the WMS (internal/dask), the I/O
+// characterization tool (internal/darshan), and the event streaming service
+// (internal/mofka) into instrumented workflow runs, captures the provenance
+// chart's metadata layers (Fig. 1), and produces the RunArtifacts that
+// PERFRECUP analyzes.
+//
+// Collection follows the paper's architecture exactly: scheduler and worker
+// plugins intercept WMS events and push them to Mofka topics ("Dask as the
+// producer"), Darshan runtimes per worker collect I/O counters and DXT
+// traces independently, and the two are only fused later, at analysis time,
+// on shared identifiers (hostname, pthread ID, timestamps).
+//
+// The event schema itself — topic names and the encode/parse pairs — lives
+// in internal/provenance so that stream consumers that core itself depends
+// on (the live monitoring subsystem, internal/live) can share it without an
+// import cycle.
 package core
 
 import (
@@ -6,6 +23,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -19,7 +37,7 @@ import (
 // happen inside Mofka.
 type Collector struct {
 	broker    *mofka.Broker // nil when publishing through a cluster Bus
-	producers map[string]mofka.Pusher
+	producers map[string]*mofka.Producer
 
 	// Counters for quick sanity checks and overhead ablations.
 	events map[string]int64
@@ -55,11 +73,11 @@ func NewCollectorBus(bus mofka.Bus, partitions int, opts mofka.ProducerOptions) 
 		partitions = 2
 	}
 	c := &Collector{
-		producers:     make(map[string]mofka.Pusher),
+		producers:     make(map[string]*mofka.Producer),
 		events:        make(map[string]int64),
 		degradedSince: make(map[string]sim.Time),
 	}
-	for _, name := range AllTopics() {
+	for _, name := range provenance.AllTopics() {
 		t, err := bus.EnsureTopic(mofka.TopicConfig{Name: name, Partitions: partitions})
 		if err != nil {
 			return nil, fmt.Errorf("core: create topic %s: %w", name, err)
@@ -116,7 +134,7 @@ func (c *Collector) producerRecovered(topic string) {
 }
 
 func (c *Collector) pushWarning(w dask.Warning) {
-	c.push(TopicWarnings, WarningEvent(w))
+	c.push(provenance.TopicWarnings, provenance.WarningEvent(w))
 }
 
 // push publishes one event. Structural failures (invalid event, missing
@@ -166,31 +184,39 @@ func (c *Collector) WorkerPlugin() dask.WorkerPlugin { return &workerPlugin{c} }
 
 type schedPlugin struct{ c *Collector }
 
-func (p *schedPlugin) TaskAdded(m dask.TaskMeta) { p.c.push(TopicTaskMeta, TaskMetaEvent(m)) }
-func (p *schedPlugin) SchedulerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+func (p *schedPlugin) TaskAdded(m dask.TaskMeta) {
+	p.c.push(provenance.TopicTaskMeta, provenance.TaskMetaEvent(m))
 }
-func (p *schedPlugin) GraphDone(id int, at sim.Time) { p.c.push(TopicGraphs, GraphDoneEvent(id, at)) }
-func (p *schedPlugin) Stolen(ev dask.StealEvent)     { p.c.push(TopicSteals, StealEventMeta(ev)) }
+func (p *schedPlugin) SchedulerTransition(t dask.Transition) {
+	p.c.push(provenance.TopicTransitions, provenance.TransitionEvent(t))
+}
+func (p *schedPlugin) GraphDone(id int, at sim.Time) {
+	p.c.push(provenance.TopicGraphs, provenance.GraphDoneEvent(id, at))
+}
+func (p *schedPlugin) Stolen(ev dask.StealEvent) {
+	p.c.push(provenance.TopicSteals, provenance.StealEventMeta(ev))
+}
 func (p *schedPlugin) Speculation(ev dask.SpeculationEvent) {
-	p.c.push(TopicSpeculation, SpeculationEventMeta(ev))
+	p.c.push(provenance.TopicSpeculation, provenance.SpeculationEventMeta(ev))
 }
 
 type workerPlugin struct{ c *Collector }
 
 func (p *workerPlugin) WorkerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(provenance.TopicTransitions, provenance.TransitionEvent(t))
 }
 func (p *workerPlugin) TaskExecuted(rec dask.TaskExecution) {
-	p.c.push(TopicExecutions, ExecutionEvent(rec))
+	p.c.push(provenance.TopicExecutions, provenance.ExecutionEvent(rec))
 }
 func (p *workerPlugin) TransferReceived(rec dask.Transfer) {
-	p.c.push(TopicTransfers, TransferEvent(rec))
+	p.c.push(provenance.TopicTransfers, provenance.TransferEvent(rec))
 }
-func (p *workerPlugin) WorkerWarning(w dask.Warning) { p.c.push(TopicWarnings, WarningEvent(w)) }
+func (p *workerPlugin) WorkerWarning(w dask.Warning) {
+	p.c.push(provenance.TopicWarnings, provenance.WarningEvent(w))
+}
 func (p *workerPlugin) Heartbeat(m dask.WorkerMetrics) {
-	p.c.push(TopicHeartbeats, HeartbeatEvent(m))
+	p.c.push(provenance.TopicHeartbeats, provenance.HeartbeatEvent(m))
 }
 func (p *workerPlugin) ProxyEvent(ev dask.ProxyEvent) {
-	p.c.push(TopicProxy, ProxyEventMeta(ev))
+	p.c.push(provenance.TopicProxy, provenance.ProxyEventMeta(ev))
 }

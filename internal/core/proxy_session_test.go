@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // proxyReplayTopics is every provenance stream this session records (the
 // anomalies topic only exists when online detection is enabled); the
 // deterministic-replay regression compares all of them.
 var proxyReplayTopics = []string{
-	TopicTaskMeta, TopicTransitions, TopicExecutions, TopicTransfers,
-	TopicWarnings, TopicHeartbeats, TopicSteals, TopicGraphs, TopicProxy,
+	provenance.TopicTaskMeta, provenance.TopicTransitions, provenance.TopicExecutions, provenance.TopicTransfers,
+	provenance.TopicWarnings, provenance.TopicHeartbeats, provenance.TopicSteals, provenance.TopicGraphs, provenance.TopicProxy,
 }
 
 // TestProxySessionDeterministicReplay: the same seeded session with the
@@ -46,7 +47,7 @@ func TestProxySessionDeterministicReplay(t *testing.T) {
 	}
 	// The proxy plane actually engaged: the streams being identical would be
 	// vacuous if nothing was proxied.
-	if n := len(drainJSON(t, a, TopicProxy)); n == 0 {
+	if n := len(drainJSON(t, a, provenance.TopicProxy)); n == 0 {
 		t.Fatal("no proxy events recorded")
 	}
 }
@@ -71,13 +72,13 @@ func TestProxyClusterChaosAcceptance(t *testing.T) {
 		if wf.graphErr != "" {
 			t.Fatalf("graph erred under %q: %s", chaosSpec, wf.graphErr)
 		}
-		metas, err := DrainTopic(art.Broker, TopicProxy)
+		metas, err := provenance.DrainTopic(art.Broker, provenance.TopicProxy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		evs := make([]dask.ProxyEvent, len(metas))
 		for i, m := range metas {
-			evs[i] = ParseProxyEvent(m)
+			evs[i] = provenance.ParseProxyEvent(m)
 		}
 		return evs
 	}

@@ -6,6 +6,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func NewRemoteCollector(remote *mofka.Remote, batchSize int) (*RemoteCollector, 
 		rr:     make(map[string]int),
 		nparts: make(map[string]int),
 	}
-	for _, name := range AllTopics() {
+	for _, name := range provenance.AllTopics() {
 		if err := remote.CreateTopic(mofka.TopicConfig{Name: name, Partitions: 2}); err != nil {
 			return nil, fmt.Errorf("core: remote topic %s: %w", name, err)
 		}
@@ -116,35 +117,39 @@ func (c *RemoteCollector) WorkerPlugin() dask.WorkerPlugin { return &remoteWorke
 
 type remoteSchedPlugin struct{ c *RemoteCollector }
 
-func (p *remoteSchedPlugin) TaskAdded(m dask.TaskMeta) { p.c.push(TopicTaskMeta, TaskMetaEvent(m)) }
+func (p *remoteSchedPlugin) TaskAdded(m dask.TaskMeta) {
+	p.c.push(provenance.TopicTaskMeta, provenance.TaskMetaEvent(m))
+}
 func (p *remoteSchedPlugin) SchedulerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(provenance.TopicTransitions, provenance.TransitionEvent(t))
 }
 func (p *remoteSchedPlugin) GraphDone(id int, at sim.Time) {
-	p.c.push(TopicGraphs, GraphDoneEvent(id, at))
+	p.c.push(provenance.TopicGraphs, provenance.GraphDoneEvent(id, at))
 }
-func (p *remoteSchedPlugin) Stolen(ev dask.StealEvent) { p.c.push(TopicSteals, StealEventMeta(ev)) }
+func (p *remoteSchedPlugin) Stolen(ev dask.StealEvent) {
+	p.c.push(provenance.TopicSteals, provenance.StealEventMeta(ev))
+}
 func (p *remoteSchedPlugin) Speculation(ev dask.SpeculationEvent) {
-	p.c.push(TopicSpeculation, SpeculationEventMeta(ev))
+	p.c.push(provenance.TopicSpeculation, provenance.SpeculationEventMeta(ev))
 }
 
 type remoteWorkerPlugin struct{ c *RemoteCollector }
 
 func (p *remoteWorkerPlugin) WorkerTransition(t dask.Transition) {
-	p.c.push(TopicTransitions, TransitionEvent(t))
+	p.c.push(provenance.TopicTransitions, provenance.TransitionEvent(t))
 }
 func (p *remoteWorkerPlugin) TaskExecuted(rec dask.TaskExecution) {
-	p.c.push(TopicExecutions, ExecutionEvent(rec))
+	p.c.push(provenance.TopicExecutions, provenance.ExecutionEvent(rec))
 }
 func (p *remoteWorkerPlugin) TransferReceived(rec dask.Transfer) {
-	p.c.push(TopicTransfers, TransferEvent(rec))
+	p.c.push(provenance.TopicTransfers, provenance.TransferEvent(rec))
 }
 func (p *remoteWorkerPlugin) WorkerWarning(w dask.Warning) {
-	p.c.push(TopicWarnings, WarningEvent(w))
+	p.c.push(provenance.TopicWarnings, provenance.WarningEvent(w))
 }
 func (p *remoteWorkerPlugin) Heartbeat(m dask.WorkerMetrics) {
-	p.c.push(TopicHeartbeats, HeartbeatEvent(m))
+	p.c.push(provenance.TopicHeartbeats, provenance.HeartbeatEvent(m))
 }
 func (p *remoteWorkerPlugin) ProxyEvent(ev dask.ProxyEvent) {
-	p.c.push(TopicProxy, ProxyEventMeta(ev))
+	p.c.push(provenance.TopicProxy, provenance.ProxyEventMeta(ev))
 }

@@ -9,6 +9,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 	"taskprov/internal/resume"
 	"taskprov/internal/sim"
 )
@@ -110,7 +111,7 @@ func resumeTestSession(seed uint64) SessionConfig {
 // the output size of each key's latest record.
 func drainExecs(t *testing.T, art *RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := DrainTopic(art.Broker, TopicExecutions)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func drainExecs(t *testing.T, art *RunArtifacts) (counts map[dask.TaskKey]int, s
 	sizes = make(map[dask.TaskKey]int64)
 	stops := make(map[dask.TaskKey]float64)
 	for _, m := range metas {
-		e := ParseExecution(m)
+		e := provenance.ParseExecution(m)
 		counts[e.Key]++
 		if s := e.Stop.Seconds(); s >= stops[e.Key] {
 			stops[e.Key] = s
@@ -262,13 +263,13 @@ func TestResumeEquivalence(t *testing.T) {
 			if art.Meta.Attempt != 2 || art.Meta.ResumedFrom != 1 {
 				t.Fatalf("metadata attempt = %d resumed_from = %d", art.Meta.Attempt, art.Meta.ResumedFrom)
 			}
-			warns, err := DrainTopic(art.Broker, TopicWarnings)
+			warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seen := 0
 			for _, m := range warns {
-				if ParseWarning(m).Kind == dask.WarnSessionResumed {
+				if provenance.ParseWarning(m).Kind == dask.WarnSessionResumed {
 					seen++
 				}
 			}

@@ -18,6 +18,7 @@ import (
 	"taskprov/internal/pfs"
 	"taskprov/internal/platform"
 	"taskprov/internal/posixio"
+	"taskprov/internal/provenance"
 	"taskprov/internal/proxystore"
 	"taskprov/internal/resume"
 	"taskprov/internal/sim"
@@ -961,7 +962,7 @@ func (a *RunArtifacts) TotalPosixOps() int64 {
 // TotalCommunications counts incoming inter-worker transfers — Table I's
 // "Communications".
 func (a *RunArtifacts) TotalCommunications() (int64, error) {
-	metas, err := DrainTopic(a.Broker, TopicTransfers)
+	metas, err := provenance.DrainTopic(a.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return 0, err
 	}
@@ -983,13 +984,13 @@ func (a *RunArtifacts) DistinctFiles() int {
 // DistinctTasks counts tasks registered at the scheduler — Table I's
 // "Distinct tasks".
 func (a *RunArtifacts) DistinctTasks() (int, error) {
-	metas, err := DrainTopic(a.Broker, TopicTaskMeta)
+	metas, err := provenance.DrainTopic(a.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return 0, err
 	}
 	set := map[string]struct{}{}
 	for _, m := range metas {
-		set[str(m, "key")] = struct{}{}
+		set[provenance.Str(m, "key")] = struct{}{}
 	}
 	return len(set), nil
 }
@@ -998,13 +999,13 @@ func (a *RunArtifacts) DistinctTasks() (int, error) {
 // graphs". Distinct by graph ID: a resumed run's merged stream can carry a
 // graph's done event from more than one attempt.
 func (a *RunArtifacts) TaskGraphs() (int, error) {
-	metas, err := DrainTopic(a.Broker, TopicGraphs)
+	metas, err := provenance.DrainTopic(a.Broker, provenance.TopicGraphs)
 	if err != nil {
 		return 0, err
 	}
 	set := map[int]struct{}{}
 	for _, m := range metas {
-		set[int(num(m, "graph_id"))] = struct{}{}
+		set[int(provenance.Num(m, "graph_id"))] = struct{}{}
 	}
 	return len(set), nil
 }

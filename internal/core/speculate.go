@@ -14,6 +14,7 @@ import (
 
 	"taskprov/internal/dask"
 	"taskprov/internal/mochi/mercury"
+	"taskprov/internal/provenance"
 )
 
 // DefaultRetryBudget is the per-run Mercury retry allowance used when
@@ -102,5 +103,5 @@ func (s *Session) pushSpeculation(ev dask.SpeculationEvent) {
 	if s.collector == nil {
 		return
 	}
-	s.collector.push(TopicSpeculation, SpeculationEventMeta(ev))
+	s.collector.push(provenance.TopicSpeculation, provenance.SpeculationEventMeta(ev))
 }

@@ -10,6 +10,7 @@ import (
 	"taskprov/internal/chaos"
 	"taskprov/internal/dask"
 	"taskprov/internal/mochi/mercury"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -60,13 +61,13 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
-	metas, err := DrainTopic(art.Broker, TopicSpeculation)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicSpeculation)
 	if err != nil {
 		t.Fatal(err)
 	}
 	evs := make([]dask.SpeculationEvent, len(metas))
 	for i, m := range metas {
-		evs[i] = ParseSpeculationEvent(m)
+		evs[i] = provenance.ParseSpeculationEvent(m)
 	}
 	return art, evs
 }
@@ -75,13 +76,13 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 // bytes from the run's proxy event stream (publish minus free/reclaim).
 func proxyFinalResident(t *testing.T, art *RunArtifacts) int64 {
 	t.Helper()
-	metas, err := DrainTopic(art.Broker, TopicProxy)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicProxy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resident int64
 	for _, m := range metas {
-		ev := ParseProxyEvent(m)
+		ev := provenance.ParseProxyEvent(m)
 		switch ev.Op {
 		case dask.ProxyOpPublish:
 			resident += ev.Bytes
@@ -139,13 +140,13 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 
 	// Zero duplicate side effects: exactly one winning execution record per
 	// task key — a cancelled loser never reports its execution.
-	metas, err := DrainTopic(hedged.Broker, TopicExecutions)
+	metas, err := provenance.DrainTopic(hedged.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perKey := map[dask.TaskKey]int{}
 	for _, m := range metas {
-		perKey[ParseExecution(m).Key]++
+		perKey[provenance.ParseExecution(m).Key]++
 	}
 	for k, n := range perKey {
 		if n != 1 {
@@ -199,14 +200,14 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
 
-	metas, err := DrainTopic(art.Broker, TopicHeartbeats)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicHeartbeats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restart := sim.Seconds(6)
 	first := map[string]sim.Time{} // port suffix -> first post-restart heartbeat
 	for _, m := range metas {
-		hb := ParseHeartbeat(m)
+		hb := provenance.ParseHeartbeat(m)
 		var suffix string
 		for _, rank := range []int{0, 1, 2} {
 			if strings.HasSuffix(hb.Worker, fmt.Sprintf(":%d", 40000+rank)) {
@@ -288,13 +289,13 @@ func TestRetryStormBoundedUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas, err := DrainTopic(art.Broker, TopicSpeculation)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicSpeculation)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var retries, denied int64
 	for _, m := range metas {
-		switch ev := ParseSpeculationEvent(m); ev.Kind {
+		switch ev := provenance.ParseSpeculationEvent(m); ev.Kind {
 		case dask.SpecRetry:
 			retries++
 			if ev.Primary != "badnode" || ev.Detail == "" {

@@ -240,17 +240,6 @@ func (g *Group) Members() []Member {
 	return out
 }
 
-// Alive returns the snapshot of members currently in the Alive state.
-func (g *Group) AliveMembers() []Member {
-	var out []Member
-	for _, m := range g.Members() {
-		if m.State == Alive {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Lookup returns the member with the given ID.
 func (g *Group) Lookup(id MemberID) (Member, bool) {
 	g.mu.Lock()

@@ -115,17 +115,20 @@ func TestObserverSeesJoinLeave(t *testing.T) {
 	}
 }
 
-func TestAliveMembersFilters(t *testing.T) {
+func TestSweepSuspectsOnlySilentMember(t *testing.T) {
 	g := NewGroup("g", cfg())
 	a := g.Join("n0", t0)
-	g.Join("n1", t0.Add(4*time.Second))
+	b := g.Join("n1", t0.Add(4*time.Second))
 	g.Sweep(t0.Add(4 * time.Second)) // a silent 4s -> suspect
-	alive := g.AliveMembers()
-	if len(alive) != 1 || alive[0].Address != "n1" {
-		t.Fatalf("alive = %+v", alive)
+	members := g.Members()
+	if len(members) != 2 || members[0].State != Suspect || members[1].State != Alive {
+		t.Fatalf("members = %+v, want n0 suspect and n1 alive", members)
 	}
 	if m, _ := g.Lookup(a); m.State != Suspect {
 		t.Fatalf("a state = %v", m.State)
+	}
+	if m, _ := g.Lookup(b); m.State != Alive {
+		t.Fatalf("b state = %v", m.State)
 	}
 }
 
@@ -170,8 +173,14 @@ func TestConcurrentHeartbeats(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if len(g.AliveMembers()) != 16 {
-		t.Fatalf("alive = %d, want 16", len(g.AliveMembers()))
+	members := g.Members()
+	if len(members) != 16 {
+		t.Fatalf("members = %d, want 16", len(members))
+	}
+	for _, m := range members {
+		if m.State != Alive {
+			t.Fatalf("member %d is %v, want alive", m.ID, m.State)
+		}
 	}
 }
 

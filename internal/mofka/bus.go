@@ -14,22 +14,9 @@ type Bus interface {
 type BusTopic interface {
 	Name() string
 	PartitionCount() int
-	// Producer creates a batching publisher for the topic. Cluster
-	// implementations honor the same batching/degraded-mode options and add
-	// quorum replication with idempotent retry underneath.
-	Producer(opts ProducerOptions) Pusher
-}
-
-// Pusher is the publishing half of a producer: what the collection plugins
-// actually call. *Producer satisfies it, as does the cluster producer.
-type Pusher interface {
-	Push(metadata Metadata, data []byte) error
-	PushRaw(metadata, data []byte) error
-	Flush() error
-	Close() error
-	// Degraded reports whether the producer is currently buffering because
-	// appends fail (broker unreachable, no quorum).
-	Degraded() bool
+	// Producer creates a batching publisher for the topic. A cluster
+	// topic binds it to quorum replication with idempotent retry.
+	Producer(opts ProducerOptions) *Producer
 }
 
 // Bus adapts the broker to the Bus interface.
@@ -47,6 +34,6 @@ func (bb brokerBus) EnsureTopic(cfg TopicConfig) (BusTopic, error) {
 
 type brokerBusTopic struct{ t *Topic }
 
-func (bt brokerBusTopic) Name() string                         { return bt.t.Name() }
-func (bt brokerBusTopic) PartitionCount() int                  { return bt.t.Partitions() }
-func (bt brokerBusTopic) Producer(opts ProducerOptions) Pusher { return bt.t.NewProducer(opts) }
+func (bt brokerBusTopic) Name() string                            { return bt.t.Name() }
+func (bt brokerBusTopic) PartitionCount() int                     { return bt.t.Partitions() }
+func (bt brokerBusTopic) Producer(opts ProducerOptions) *Producer { return bt.t.NewProducer(opts) }

@@ -66,7 +66,7 @@ func BenchmarkClusterPushBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p := ct.NewProducer(mofka.ProducerOptions{BatchSize: 128})
+			p := ct.Producer(mofka.ProducerOptions{BatchSize: 128})
 			defer p.Close()
 			benchPush(b, p.PushRaw, p.Flush)
 		})

@@ -19,9 +19,9 @@ func newTestCluster(t *testing.T, brokers, rf int) *Cluster {
 	return c
 }
 
-func pushN(t *testing.T, ct *ClusterTopic, n int, opts mofka.ProducerOptions) *Producer {
+func pushN(t *testing.T, ct *ClusterTopic, n int, opts mofka.ProducerOptions) *mofka.Producer {
 	t.Helper()
-	p := ct.NewProducer(opts)
+	p := ct.Producer(opts)
 	for i := 0; i < n; i++ {
 		if err := p.Push(mofka.Metadata{"i": i}, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			t.Fatalf("push %d: %v", i, err)

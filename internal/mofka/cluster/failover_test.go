@@ -83,7 +83,7 @@ func TestProducerSurvivesLeaderKillAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ct.NewProducer(mofka.ProducerOptions{
+	p := ct.Producer(mofka.ProducerOptions{
 		BatchSize:    8,
 		FlushRetries: 1,
 		RetryBackoff: time.Millisecond,

@@ -104,18 +104,22 @@ func TestBatchSizeTriggersAutoFlush(t *testing.T) {
 	if n := tp.Events(); n != 5 {
 		t.Fatalf("events after size trigger = %d, want 5", n)
 	}
-	_, flushes := p.Stats()
-	if flushes != 1 {
-		t.Fatalf("flushes = %d", flushes)
+	p.Push(Metadata{"i": 5}, nil)
+	if n := tp.Events(); n != 5 {
+		t.Fatalf("events after a sixth push = %d, want 5 (next batch still open)", n)
 	}
 }
 
 func TestMaxBatchBytesTriggersAutoFlush(t *testing.T) {
 	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 1000, MaxBatchBytes: 100})
-	p.Push(Metadata{}, make([]byte, 150))
-	if n := tp.Events(); n != 1 {
-		t.Fatalf("events after byte trigger = %d", n)
+	p := tp.NewProducer(ProducerOptions{BatchSize: 1000})
+	p.Push(Metadata{}, make([]byte, maxBatchBytes-1))
+	if n := tp.Events(); n != 0 {
+		t.Fatalf("events below the byte trigger = %d, want 0", n)
+	}
+	p.Push(Metadata{}, make([]byte, 1))
+	if n := tp.Events(); n != 2 {
+		t.Fatalf("events after byte trigger = %d, want 2", n)
 	}
 }
 
@@ -130,28 +134,6 @@ func TestRoundRobinPartitioning(t *testing.T) {
 		if part.Length() != 2 {
 			t.Fatalf("partition %d length = %d, want 2", i, part.Length())
 		}
-	}
-}
-
-func TestCustomPartitioner(t *testing.T) {
-	_, tp := newTopic(t, "t", 2)
-	p := tp.NewProducer(ProducerOptions{
-		BatchSize:   1,
-		Partitioner: func(meta []byte, n int) int { return len(meta) % n },
-	})
-	p.Push(Metadata{"a": 1}, nil)
-	p.Flush()
-	total := tp.Events()
-	if total != 1 {
-		t.Fatalf("events = %d", total)
-	}
-}
-
-func TestBadPartitionerRejected(t *testing.T) {
-	_, tp := newTopic(t, "t", 2)
-	p := tp.NewProducer(ProducerOptions{Partitioner: func([]byte, int) int { return 7 }})
-	if err := p.Push(Metadata{}, nil); !errors.Is(err, ErrNoPartition) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -193,20 +175,6 @@ func TestPushAfterCloseFails(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestBackgroundFlusher(t *testing.T) {
-	_, tp := newTopic(t, "t", 1)
-	p := tp.NewProducer(ProducerOptions{BatchSize: 1000, FlushInterval: 5 * time.Millisecond})
-	defer p.Close()
-	p.Push(Metadata{"x": 1}, nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for tp.Events() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never shipped the event")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,23 +6,26 @@ import (
 	"time"
 )
 
-// ProducerOptions tunes batching. Mofka's real producer batches events and
-// ships them with background threads; the same knobs exist here.
+// Producer batching bounds that no deployment tunes.
+const (
+	// maxBatchBytes seals a partition's pending batch once its payload bytes
+	// reach this size, whatever the event count.
+	maxBatchBytes = 4 << 20
+	// maxPendingBatches bounds the per-partition backlog of sealed but
+	// unshipped batches accumulated while appends fail. Beyond the bound the
+	// oldest batches are dropped (counted by Dropped), trading provenance
+	// completeness for bounded memory — degraded, not wedged.
+	maxPendingBatches = 64
+)
+
+// ProducerOptions tunes batching and resilience. Mofka's real producer
+// batches events and ships them with background threads; here batches ship
+// on size triggers, Flush, and Close only — the deterministic mode
+// simulations use.
 type ProducerOptions struct {
 	// BatchSize flushes a partition's pending batch when it reaches this
 	// many events. Default 128.
 	BatchSize int
-	// MaxBatchBytes flushes when pending payload bytes reach this size.
-	// Default 4 MiB.
-	MaxBatchBytes int64
-	// FlushInterval, when positive, starts a background goroutine flushing
-	// all partitions periodically. Zero (default) means size-triggered and
-	// manual flushes only — the deterministic mode simulations use.
-	FlushInterval time.Duration
-	// Partitioner picks the partition for an event. The default cycles
-	// round-robin, matching Mofka's default.
-	Partitioner func(metadata []byte, partitions int) int
-
 	// FlushRetries is how many times a failing batch append is retried
 	// in-line (with exponential backoff starting at RetryBackoff) before the
 	// producer gives up for now, keeps the batch buffered, and reports
@@ -31,12 +34,6 @@ type ProducerOptions struct {
 	// RetryBackoff is the initial backoff between in-line retries,
 	// doubling each attempt. Default 5ms.
 	RetryBackoff time.Duration
-	// MaxPendingBatches bounds the per-partition backlog of sealed but
-	// unshipped batches accumulated while the broker is unreachable. Beyond
-	// the bound the oldest batches are dropped (counted by Stats), trading
-	// provenance completeness for bounded memory — degraded, not wedged.
-	// Default 64.
-	MaxPendingBatches int
 	// OnDegraded fires once when the producer starts buffering because
 	// appends fail persistently; OnRecovered fires once when the backlog
 	// later drains completely. Both are invoked without internal locks held,
@@ -49,92 +46,86 @@ func (o *ProducerOptions) setDefaults() {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 128
 	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 4 << 20
-	}
 	if o.FlushRetries <= 0 {
 		o.FlushRetries = 3
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
 	}
-	if o.MaxPendingBatches <= 0 {
-		o.MaxPendingBatches = 64
-	}
 }
 
-// Producer pushes events into a topic with batching. Safe for concurrent
-// use.
+// AppendFunc ships one sealed batch to a partition: the hook that binds a
+// Producer to a deployment. seq numbers each partition's batches from 1 in
+// seal order, and a retried batch carries the same seq, so an idempotent
+// backend (the replicated cluster) can acknowledge a batch it already holds
+// without re-appending it. The producer calls it from one goroutine at a
+// time.
+type AppendFunc func(partition int, seq uint64, metas, datas [][]byte) error
+
+// Producer pushes events into a topic with batching, round-robin placement,
+// and degraded-mode buffering: a batch whose append keeps failing stays
+// queued (bounded per partition) and ships on a later flush. Safe for
+// concurrent use.
 type Producer struct {
-	topic *Topic
-	opts  ProducerOptions
+	appendBatch AppendFunc
+	validate    Validator
+	opts        ProducerOptions
 
 	mu       sync.Mutex
-	open     []pendingBatch   // per-partition batch accepting new events
-	queues   [][]pendingBatch // per-partition FIFO of sealed, unshipped batches
+	open     []batch   // per-partition batch accepting new events
+	queues   [][]batch // per-partition FIFO of sealed, unshipped batches
+	sealed   []uint64  // per-partition count of sealed batches (the last seq)
 	rr       int
 	closed   bool
 	degraded bool
-	pushed   uint64
-	flushes  uint64
 	dropped  uint64
 
 	// shipMu serializes shipping so a partition's batches land in seal
-	// order even under concurrent pushers.
+	// (and therefore sequence) order even under concurrent pushers.
 	shipMu sync.Mutex
-
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
 }
 
-type pendingBatch struct {
+type batch struct {
 	metas [][]byte
 	datas [][]byte
 	bytes int64
+	seq   uint64
+}
+
+// NewProducer creates a producer over partitions partitions that ships
+// through appendBatch. validate, when non-nil, vets each event's metadata
+// at push time.
+func NewProducer(partitions int, appendBatch AppendFunc, validate Validator, opts ProducerOptions) *Producer {
+	opts.setDefaults()
+	return &Producer{
+		appendBatch: appendBatch,
+		validate:    validate,
+		opts:        opts,
+		open:        make([]batch, partitions),
+		queues:      make([][]batch, partitions),
+		sealed:      make([]uint64, partitions),
+	}
 }
 
 // NewProducer creates a producer for the topic.
 func (t *Topic) NewProducer(opts ProducerOptions) *Producer {
-	opts.setDefaults()
-	p := &Producer{
-		topic:  t,
-		opts:   opts,
-		open:   make([]pendingBatch, len(t.partitions)),
-		queues: make([][]pendingBatch, len(t.partitions)),
+	appendBatch := func(partition int, _ uint64, metas, datas [][]byte) error {
+		return t.partitions[partition].appendBatch(metas, datas)
 	}
-	if opts.FlushInterval > 0 {
-		p.stopFlusher = make(chan struct{})
-		p.flusherDone = make(chan struct{})
-		go p.flushLoop()
-	}
-	return p
-}
-
-func (p *Producer) flushLoop() {
-	defer close(p.flusherDone)
-	tick := time.NewTicker(p.opts.FlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			_ = p.Flush() // periodic flush retries next tick
-		case <-p.stopFlusher:
-			return
-		}
-	}
+	return NewProducer(len(t.partitions), appendBatch, t.cfg.Validator, opts)
 }
 
 // Push enqueues one event. The metadata and data slices are copied. The
 // event becomes visible to consumers after its batch flushes (by size
-// trigger, interval, Flush, or Close).
+// trigger, Flush, or Close).
 func (p *Producer) Push(metadata Metadata, data []byte) error {
 	return p.PushRaw(metadata.Encode(), data)
 }
 
 // PushRaw enqueues one event with pre-encoded JSON metadata.
 func (p *Producer) PushRaw(metadata, data []byte) error {
-	if v := p.topic.cfg.Validator; v != nil {
-		if err := v(metadata); err != nil {
+	if p.validate != nil {
+		if err := p.validate(metadata); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidEvent, err)
 		}
 	}
@@ -143,23 +134,13 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	var idx int
-	if p.opts.Partitioner != nil {
-		idx = p.opts.Partitioner(metadata, len(p.topic.partitions))
-		if idx < 0 || idx >= len(p.topic.partitions) {
-			p.mu.Unlock()
-			return fmt.Errorf("%w: partitioner chose %d of %d", ErrNoPartition, idx, len(p.topic.partitions))
-		}
-	} else {
-		idx = p.rr
-		p.rr = (p.rr + 1) % len(p.topic.partitions)
-	}
+	idx := p.rr
+	p.rr = (p.rr + 1) % len(p.open)
 	b := &p.open[idx]
 	b.metas = append(b.metas, append([]byte(nil), metadata...))
 	b.datas = append(b.datas, append([]byte(nil), data...))
 	b.bytes += int64(len(data))
-	p.pushed++
-	needFlush := len(b.metas) >= p.opts.BatchSize || b.bytes >= p.opts.MaxBatchBytes
+	needFlush := len(b.metas) >= p.opts.BatchSize || b.bytes >= maxBatchBytes
 	if needFlush {
 		p.sealLocked(idx)
 	}
@@ -170,25 +151,26 @@ func (p *Producer) PushRaw(metadata, data []byte) error {
 	return nil
 }
 
-// sealLocked moves partition idx's open batch onto its shipping queue.
-// Callers hold p.mu.
+// sealLocked moves partition idx's open batch onto its shipping queue,
+// assigning the batch its per-partition sequence number. Callers hold p.mu.
 func (p *Producer) sealLocked(idx int) {
 	if len(p.open[idx].metas) == 0 {
 		return
 	}
+	p.sealed[idx]++
+	p.open[idx].seq = p.sealed[idx]
 	p.queues[idx] = append(p.queues[idx], p.open[idx])
-	p.open[idx] = pendingBatch{}
-	p.flushes++
+	p.open[idx] = batch{}
 }
 
 // ship drains every partition's sealed-batch queue, retrying failures with
 // backoff. Batches that still cannot be appended stay queued (bounded by
-// MaxPendingBatches) for the next flush — a broker outage degrades the
+// maxPendingBatches) for the next flush — a broker outage degrades the
 // producer instead of losing whole batches. Returns the first append error.
 func (p *Producer) ship() error {
 	p.shipMu.Lock()
 	var firstErr error
-	for idx := range p.topic.partitions {
+	for idx := range p.queues {
 		if err := p.drainPartition(idx); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -236,11 +218,11 @@ func (p *Producer) drainPartition(idx int) error {
 	}
 }
 
-func (p *Producer) appendWithRetry(idx int, b pendingBatch) error {
+func (p *Producer) appendWithRetry(idx int, b batch) error {
 	backoff := p.opts.RetryBackoff
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = p.topic.partitions[idx].appendBatch(b.metas, b.datas)
+		err = p.appendBatch(idx, b.seq, b.metas, b.datas)
 		if err == nil || attempt >= p.opts.FlushRetries {
 			return err
 		}
@@ -250,15 +232,15 @@ func (p *Producer) appendWithRetry(idx int, b pendingBatch) error {
 }
 
 // enforceBound drops partition idx's oldest queued batches past
-// MaxPendingBatches, counting the dropped events.
+// maxPendingBatches, counting the dropped events.
 func (p *Producer) enforceBound(idx int) {
 	p.mu.Lock()
-	over := len(p.queues[idx]) - p.opts.MaxPendingBatches
+	over := len(p.queues[idx]) - maxPendingBatches
 	for i := 0; i < over; i++ {
 		p.dropped += uint64(len(p.queues[idx][i].metas))
 	}
 	if over > 0 {
-		p.queues[idx] = append([]pendingBatch(nil), p.queues[idx][over:]...)
+		p.queues[idx] = append([]batch(nil), p.queues[idx][over:]...)
 	}
 	p.mu.Unlock()
 }
@@ -274,9 +256,9 @@ func (p *Producer) Flush() error {
 	return p.ship()
 }
 
-// Close flushes pending events and stops the background flusher. Further
-// pushes fail with ErrClosed. If the final flush fails, its first error is
-// returned and any still-unshipped batches are abandoned with the producer.
+// Close flushes pending events. Further pushes fail with ErrClosed. If the
+// final flush fails, its first error is returned and any still-unshipped
+// batches are abandoned with the producer.
 func (p *Producer) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -285,10 +267,6 @@ func (p *Producer) Close() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	if p.stopFlusher != nil {
-		close(p.stopFlusher)
-		<-p.flusherDone
-	}
 	return p.Flush()
 }
 
@@ -311,16 +289,8 @@ func (p *Producer) Backlog() int {
 	return n
 }
 
-// Stats reports events pushed, batches flushed, and events dropped under
-// backlog pressure, for overhead ablations.
-func (p *Producer) Stats() (pushed, flushes uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pushed, p.flushes
-}
-
 // Dropped reports events discarded because the degraded-mode backlog
-// exceeded MaxPendingBatches.
+// exceeded maxPendingBatches.
 func (p *Producer) Dropped() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -91,25 +91,24 @@ func TestFlushRetainsBatchOnFault(t *testing.T) {
 }
 
 // TestBacklogBoundDropsOldest: with the broker down, the per-partition
-// backlog is bounded; the oldest batches are dropped and accounted, and the
-// survivors ship once the broker returns.
+// backlog is bounded at maxPendingBatches; the oldest batches are dropped and
+// accounted, and the survivors ship once the broker returns.
 func TestBacklogBoundDropsOldest(t *testing.T) {
 	b, tp := newTopic(t, "t", 1)
 	p := tp.NewProducer(ProducerOptions{
-		BatchSize:         1, // every push seals and attempts shipment
-		FlushRetries:      1,
-		RetryBackoff:      time.Microsecond,
-		MaxPendingBatches: 2,
+		BatchSize:    1, // every push seals and attempts shipment
+		FlushRetries: 1,
+		RetryBackoff: time.Microsecond,
 	})
 	b.SetAppendFault(func(string, int) error { return errors.New("unreachable") })
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxPendingBatches+3; i++ {
 		// Push reports the shipping failure but must not lose the event.
 		if err := p.Push(Metadata{"i": i}, []byte("x")); err == nil {
 			t.Fatalf("push %d: expected shipping error", i)
 		}
 	}
-	if p.Backlog() != 2 {
-		t.Fatalf("backlog = %d, want bound of 2", p.Backlog())
+	if p.Backlog() != maxPendingBatches {
+		t.Fatalf("backlog = %d, want bound of %d", p.Backlog(), maxPendingBatches)
 	}
 	if p.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", p.Dropped())
@@ -118,7 +117,7 @@ func TestBacklogBoundDropsOldest(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tp.Events(); got != 2 {
-		t.Fatalf("events after recovery = %d, want the 2 retained", got)
+	if got := tp.Events(); got != maxPendingBatches {
+		t.Fatalf("events after recovery = %d, want the %d retained", got, maxPendingBatches)
 	}
 }

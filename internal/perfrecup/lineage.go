@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // Lineage is the full provenance record of one task (Fig. 8): identity,
@@ -68,13 +69,13 @@ type LineageIO struct {
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	metas, err := core.DrainTopic(art.Broker, core.TopicTaskMeta)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return nil, err
 	}
 	found := false
 	for _, m := range metas {
-		tm := core.ParseTaskMeta(m)
+		tm := provenance.ParseTaskMeta(m)
 		if string(tm.Key) == key {
 			l.GraphID = tm.GraphID
 			l.SubmittedAt = tm.At.Seconds()
@@ -89,12 +90,12 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
 	}
 
-	trans, err := core.DrainTopic(art.Broker, core.TopicTransitions)
+	trans, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range trans {
-		t := core.ParseTransition(m)
+		t := provenance.ParseTransition(m)
 		if string(t.Key) == key {
 			l.States = append(l.States, LineageState{
 				From: string(t.From), To: string(t.To),
@@ -104,12 +105,12 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
 
-	execs, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range execs {
-		e := core.ParseExecution(m)
+		e := provenance.ParseExecution(m)
 		if string(e.Key) == key {
 			l.Worker = e.Worker
 			l.Hostname = e.Hostname
@@ -120,12 +121,12 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	transfers, err := core.DrainTopic(art.Broker, core.TopicTransfers)
+	transfers, err := provenance.DrainTopic(art.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range transfers {
-		t := core.ParseTransfer(m)
+		t := provenance.ParseTransfer(m)
 		if string(t.Key) == key {
 			l.Movements = append(l.Movements, LineageMove{
 				From: t.From, To: t.To, Bytes: t.Bytes,
@@ -134,12 +135,12 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	steals, err := core.DrainTopic(art.Broker, core.TopicSteals)
+	steals, err := provenance.DrainTopic(art.Broker, provenance.TopicSteals)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range steals {
-		s := core.ParseSteal(m)
+		s := provenance.ParseSteal(m)
 		if string(s.Key) == key {
 			l.Steals = append(l.Steals, fmt.Sprintf("%s -> %s @ %.3fs", s.Victim, s.Thief, s.At.Seconds()))
 		}

@@ -10,12 +10,13 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // ExecutionsView tabulates task executions: one row per executed task with
 // its placement, thread, window, and output size.
 func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +33,7 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 	size := make([]int64, n)
 	graph := make([]int64, n)
 	for i, m := range metas {
-		e := core.ParseExecution(m)
+		e := provenance.ParseExecution(m)
 		key[i] = string(e.Key)
 		prefix[i] = dask.KeyPrefix(e.Key)
 		group[i] = dask.KeyGroup(e.Key)
@@ -62,7 +63,7 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransitionsView tabulates every captured state transition.
 func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicTransitions)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +75,7 @@ func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 	loc := make([]string, n)
 	at := make([]float64, n)
 	for i, m := range metas {
-		t := core.ParseTransition(m)
+		t := provenance.ParseTransition(m)
 		key[i] = string(t.Key)
 		from[i] = string(t.From)
 		to[i] = string(t.To)
@@ -94,7 +95,7 @@ func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransfersView tabulates inter-worker dependency transfers.
 func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicTransfers)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 	viaProxy := make([]bool, n)
 	resolve := make([]float64, n)
 	for i, m := range metas {
-		t := core.ParseTransfer(m)
+		t := provenance.ParseTransfer(m)
 		key[i] = string(t.Key)
 		from[i] = t.From
 		to[i] = t.To
@@ -141,7 +142,7 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 // blob's logical size and the store's resident footprint after the
 // operation — the raw series behind the live resident-bytes lane.
 func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicProxy)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicProxy)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +155,7 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 	resolve := make([]float64, n)
 	at := make([]float64, n)
 	for i, m := range metas {
-		e := core.ParseProxyEvent(m)
+		e := provenance.ParseProxyEvent(m)
 		op[i] = e.Op
 		key[i] = string(e.Key)
 		worker[i] = e.Worker
@@ -176,7 +177,7 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // WarningsView tabulates runtime warnings (unresponsive event loop, GC).
 func WarningsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +188,7 @@ func WarningsView(art *core.RunArtifacts) (*frame.Frame, error) {
 	at := make([]float64, n)
 	dur := make([]float64, n)
 	for i, m := range metas {
-		w := core.ParseWarning(m)
+		w := provenance.ParseWarning(m)
 		kind[i] = string(w.Kind)
 		worker[i] = w.Worker
 		host[i] = w.Hostname
@@ -279,7 +280,7 @@ func PosixView(art *core.RunArtifacts) (*frame.Frame, error) {
 // TaskMetaView tabulates the static task metadata (key, prefix, group,
 // graph, dependency count).
 func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicTaskMeta)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +292,7 @@ func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
 	ndeps := make([]int64, n)
 	at := make([]float64, n)
 	for i, m := range metas {
-		tm := core.ParseTaskMeta(m)
+		tm := provenance.ParseTaskMeta(m)
 		key[i] = string(tm.Key)
 		prefix[i] = tm.Prefix
 		group[i] = tm.Group
@@ -311,7 +312,7 @@ func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // HeartbeatsView tabulates worker heartbeat samples.
 func HeartbeatsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicHeartbeats)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicHeartbeats)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +323,7 @@ func HeartbeatsView(art *core.RunArtifacts) (*frame.Frame, error) {
 	execing := make([]int64, n)
 	ready := make([]int64, n)
 	for i, m := range metas {
-		h := core.ParseHeartbeat(m)
+		h := provenance.ParseHeartbeat(m)
 		worker[i] = h.Worker
 		at[i] = h.At.Seconds()
 		mem[i] = h.Memory

@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // RecoveryTimelineView tabulates the run's failure/recovery timeline: every
@@ -15,7 +16,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for fault-free runs.
 func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return nil, err
 	}
@@ -25,7 +26,7 @@ func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 	}
 	var rows []row
 	for _, m := range metas {
-		w := core.ParseWarning(m)
+		w := provenance.ParseWarning(m)
 		if !w.Kind.IsRecovery() {
 			continue
 		}

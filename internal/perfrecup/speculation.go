@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/perfrecup/frame"
+	"taskprov/internal/provenance"
 )
 
 // SpeculationTimelineView tabulates the run's hedged-execution and
@@ -16,7 +17,7 @@ import (
 // (at, kind, key, duplicate, detail) so the view is deterministic regardless
 // of partition drain order. Empty for runs without speculation or retries.
 func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := core.DrainTopic(art.Broker, core.TopicSpeculation)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicSpeculation)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +28,7 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 	}
 	rows := make([]row, 0, len(metas))
 	for _, m := range metas {
-		e := core.ParseSpeculationEvent(m)
+		e := provenance.ParseSpeculationEvent(m)
 		rows = append(rows, row{
 			kind: e.Kind, key: string(e.Key),
 			primary: e.Primary, duplicate: e.Duplicate, winner: e.Winner,

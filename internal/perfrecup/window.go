@@ -7,6 +7,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 )
 
 // WindowStats is the paper's "zooming through a specific time period"
@@ -52,13 +53,13 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	w := WindowStats{From: from, To: to, Warnings: map[string]int{}}
 
-	execs, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return w, err
 	}
 	byPrefix := map[string]float64{}
 	for _, m := range execs {
-		e := core.ParseExecution(m)
+		e := provenance.ParseExecution(m)
 		s, p := e.Start.Seconds(), e.Stop.Seconds()
 		ov := overlap(s, p, from, to)
 		if ov <= 0 {
@@ -95,12 +96,12 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		}
 	}
 
-	transfers, err := core.DrainTopic(art.Broker, core.TopicTransfers)
+	transfers, err := provenance.DrainTopic(art.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return w, err
 	}
 	for _, m := range transfers {
-		t := core.ParseTransfer(m)
+		t := provenance.ParseTransfer(m)
 		ov := overlap(t.Start.Seconds(), t.Stop.Seconds(), from, to)
 		if ov <= 0 {
 			continue
@@ -110,12 +111,12 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		w.CommSeconds += ov
 	}
 
-	warns, err := core.DrainTopic(art.Broker, core.TopicWarnings)
+	warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return w, err
 	}
 	for _, m := range warns {
-		wr := core.ParseWarning(m)
+		wr := provenance.ParseWarning(m)
 		at := wr.At.Seconds()
 		if at >= from && at < to {
 			w.Warnings[string(wr.Kind)]++
@@ -159,13 +160,13 @@ type ScheduleComparison struct {
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
 	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		metas, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+		metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 		if err != nil {
 			return nil, err
 		}
 		m := make(map[string]dask.TaskExecution, len(metas))
 		for _, meta := range metas {
-			e := core.ParseExecution(meta)
+			e := provenance.ParseExecution(meta)
 			m[string(e.Key)] = e
 		}
 		return m, nil

@@ -6,6 +6,7 @@ import (
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
+	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -31,17 +32,17 @@ func windowArt(t *testing.T, execs []dask.TaskExecution, transfers []dask.Transf
 	}
 	var em, tm, wm []mofka.Metadata
 	for _, e := range execs {
-		em = append(em, core.ExecutionEvent(e))
+		em = append(em, provenance.ExecutionEvent(e))
 	}
 	for _, tr := range transfers {
-		tm = append(tm, core.TransferEvent(tr))
+		tm = append(tm, provenance.TransferEvent(tr))
 	}
 	for _, w := range warns {
-		wm = append(wm, core.WarningEvent(w))
+		wm = append(wm, provenance.WarningEvent(w))
 	}
-	push(core.TopicExecutions, em)
-	push(core.TopicTransfers, tm)
-	push(core.TopicWarnings, wm)
+	push(provenance.TopicExecutions, em)
+	push(provenance.TopicTransfers, tm)
+	push(provenance.TopicWarnings, wm)
 	return &core.RunArtifacts{Broker: b}
 }
 

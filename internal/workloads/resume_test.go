@@ -9,6 +9,7 @@ import (
 
 	"taskprov/internal/core"
 	"taskprov/internal/dask"
+	"taskprov/internal/provenance"
 	"taskprov/internal/resume"
 )
 
@@ -16,7 +17,7 @@ import (
 // latest output size.
 func execSummary(t *testing.T, art *core.RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := core.DrainTopic(art.Broker, core.TopicExecutions)
+	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func execSummary(t *testing.T, art *core.RunArtifacts) (counts map[dask.TaskKey]
 	sizes = make(map[dask.TaskKey]int64)
 	stops := make(map[dask.TaskKey]float64)
 	for _, m := range metas {
-		e := core.ParseExecution(m)
+		e := provenance.ParseExecution(m)
 		counts[e.Key]++
 		if s := e.Stop.Seconds(); s >= stops[e.Key] {
 			stops[e.Key] = s
