@@ -110,12 +110,16 @@ bench-speculation:
 		| $(GO) run ./tools/benchjson > BENCH_speculation.json
 	cat BENCH_speculation.json
 
-# WAL crash-recovery fuzzing: replay the checked-in seed corpus, then fuzz
-# live for a short burst (arbitrary segment bytes must never panic recovery
-# and must keep exactly the valid frame prefix).
+# WAL crash-recovery and event-decode fuzzing: replay each seed corpus, then
+# fuzz live for a short burst (arbitrary segment bytes must never panic
+# recovery and must keep exactly the valid frame prefix; arbitrary event
+# metadata must never panic a record decoder, and any record that decodes
+# must re-encode to a fixed point).
 fuzz:
 	$(GO) test -run 'FuzzWALRecover' ./internal/mofka/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWALRecover' -fuzztime 20s ./internal/mofka/wal/
+	$(GO) test -run 'FuzzDecode' ./internal/provenance/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/provenance/
 
 # Everything CI runs.
 verify: build lint test race chaos cluster property resume fuzz whatif speculate

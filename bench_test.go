@@ -11,6 +11,7 @@
 package taskprov_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -543,32 +544,39 @@ func (w *inlineWorkflow) Run(p *sim.Proc, cl *dask.Client, env *core.Env) {
 func BenchmarkLiveAggregation(b *testing.B) {
 	// A representative event mix: mostly executions, some transfers and
 	// transitions, occasional warnings — pre-encoded so the benchmark times
-	// aggregation, not metadata construction.
+	// decoding and aggregation, not metadata construction.
 	type in struct {
 		topic string
 		part  int
-		m     mofka.Metadata
+		m     []byte
+	}
+	encode := func(rec any) []byte {
+		meta, err := json.Marshal(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return meta
 	}
 	var mix []in
 	for i := 0; i < 64; i++ {
 		key := dask.TaskKey(fmt.Sprintf("getitem-%04d", i))
 		worker := fmt.Sprintf("10.0.0.%d:9000", i%8)
 		at := float64(i) * 0.05
-		mix = append(mix, in{provenance.TopicExecutions, i % 2, provenance.ExecutionEvent(dask.TaskExecution{
+		mix = append(mix, in{provenance.TopicExecutions, i % 2, encode(dask.TaskExecution{
 			Key: key, Worker: worker, Hostname: fmt.Sprintf("nid%05d", i%4),
 			Start: sim.Seconds(at), Stop: sim.Seconds(at + 0.8), OutputSize: 1 << 16, GraphID: 1,
 		})})
-		mix = append(mix, in{provenance.TopicTransitions, i % 2, provenance.TransitionEvent(dask.Transition{
+		mix = append(mix, in{provenance.TopicTransitions, i % 2, encode(dask.Transition{
 			Key: key, From: "processing", To: "memory", At: sim.Seconds(at + 0.8),
 		})})
 		if i%4 == 0 {
-			mix = append(mix, in{provenance.TopicTransfers, i % 2, provenance.TransferEvent(dask.Transfer{
+			mix = append(mix, in{provenance.TopicTransfers, i % 2, encode(dask.Transfer{
 				Key: key, From: worker, To: "10.0.0.9:9000", Bytes: 1 << 20,
 				Start: sim.Seconds(at), Stop: sim.Seconds(at + 0.01),
 			})})
 		}
 		if i%16 == 0 {
-			mix = append(mix, in{provenance.TopicWarnings, i % 2, provenance.WarningEvent(dask.Warning{
+			mix = append(mix, in{provenance.TopicWarnings, i % 2, encode(dask.Warning{
 				Kind: dask.WarnEventLoop, Worker: worker, At: sim.Seconds(at), Duration: sim.Seconds(1.2),
 			})})
 		}
@@ -577,7 +585,9 @@ func BenchmarkLiveAggregation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := mix[i%len(mix)]
-		agg.IngestEvent(e.topic, e.part, e.m)
+		if err := agg.IngestEvent(e.topic, e.part, e.m); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if s := agg.Snapshot(); s.Events == 0 {

@@ -2,14 +2,12 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/mofka"
-	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
 
@@ -103,8 +101,17 @@ func (a *RunArtifacts) writeLogs(dir string) error {
 	return nil
 }
 
+// writeTopic writes each event's stored metadata bytes as one line.
 func (a *RunArtifacts) writeTopic(dir, topic string) error {
-	metas, err := provenance.DrainTopic(a.Broker, topic)
+	t, err := a.Broker.OpenTopic(topic)
+	if err != nil {
+		return err
+	}
+	c, err := t.NewConsumer(mofka.ConsumerOptions{NoData: true})
+	if err != nil {
+		return err
+	}
+	evs, err := c.Drain()
 	if err != nil {
 		return err
 	}
@@ -114,16 +121,10 @@ func (a *RunArtifacts) writeTopic(dir, topic string) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	for _, m := range metas {
-		b, err := json.Marshal(m)
-		if err != nil {
-			_ = f.Close()
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			_ = f.Close()
-			return err
-		}
+	for _, ev := range evs {
+		// A bufio.Writer keeps its first error; Flush below reports it.
+		_, _ = w.Write(ev.Metadata)
+		_ = w.WriteByte('\n')
 	}
 	if err := w.Flush(); err != nil {
 		_ = f.Close()

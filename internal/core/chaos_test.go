@@ -62,13 +62,9 @@ func chaosRun(t *testing.T, seed uint64) (*RunArtifacts, []dask.Warning) {
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred under chaos: %s", wf.graphErr)
 	}
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	warns, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		t.Fatal(err)
-	}
-	warns := make([]dask.Warning, len(metas))
-	for i, m := range metas {
-		warns[i] = provenance.ParseWarning(m)
 	}
 	return art, warns
 }

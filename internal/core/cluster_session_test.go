@@ -37,21 +37,17 @@ func clusterRun(t *testing.T, seed uint64, chaosSpec string) *RunArtifacts {
 }
 
 // drainJSON drains a topic from the artifact broker and returns each event's
-// canonical JSON encoding (encoding/json sorts map keys), so two runs'
-// streams compare event for event.
+// metadata bytes (the record's JSON encoding), so two runs' streams compare
+// event for event.
 func drainJSON(t *testing.T, art *RunArtifacts, topic string) []string {
 	t.Helper()
-	metas, err := provenance.DrainTopic(art.Broker, topic)
+	metas, err := provenance.Drain[json.RawMessage](art.Broker, topic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]string, len(metas))
 	for i, m := range metas {
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = string(b)
+		out[i] = string(m)
 	}
 	return out
 }
@@ -169,14 +165,13 @@ func TestClusterChaosFailover(t *testing.T) {
 
 	// The failover story is on the warnings topic: broker death, leader
 	// elections away from the dead node, the rejoin, and replica catch-up.
-	metas, err := provenance.DrainTopic(crash.Broker, provenance.TopicWarnings)
+	metas, err := provenance.Drain[dask.Warning](crash.Broker, provenance.TopicWarnings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := make(map[dask.WarningKind]int)
 	var daskWarns []dask.Warning
-	for _, m := range metas {
-		w := provenance.ParseWarning(m)
+	for _, w := range metas {
 		kinds[w.Kind]++
 		if !strings.HasPrefix(string(w.Kind), "cluster_") && w.Kind != dask.WarnProducerDegraded {
 			daskWarns = append(daskWarns, w)
@@ -192,13 +187,12 @@ func TestClusterChaosFailover(t *testing.T) {
 		t.Fatalf("no leader elections recorded (kinds: %v)", kinds)
 	}
 	// No worker was harmed: the dask-level warning stream matches baseline.
-	bmetas, err := provenance.DrainTopic(baseline.Broker, provenance.TopicWarnings)
+	bmetas, err := provenance.Drain[dask.Warning](baseline.Broker, provenance.TopicWarnings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var baseWarns []dask.Warning
-	for _, m := range bmetas {
-		w := provenance.ParseWarning(m)
+	for _, w := range bmetas {
 		if !strings.HasPrefix(string(w.Kind), "cluster_") && w.Kind != dask.WarnProducerDegraded {
 			baseWarns = append(baseWarns, w)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,31 +110,29 @@ func TestEventStreamsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trans, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
+	trans, err := provenance.Drain[dask.Transition](art.Broker, provenance.TopicTransitions)
 	if err != nil || len(trans) == 0 {
 		t.Fatalf("transitions = %d, %v", len(trans), err)
 	}
-	for _, m := range trans {
-		tr := provenance.ParseTransition(m)
+	for _, tr := range trans {
 		if tr.Key == "" || tr.To == "" || tr.Location == "" {
 			t.Fatalf("bad transition: %+v", tr)
 		}
 	}
-	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil || len(execs) != 9 {
 		t.Fatalf("executions = %d, %v", len(execs), err)
 	}
-	for _, m := range execs {
-		e := provenance.ParseExecution(m)
+	for _, e := range execs {
 		if e.ThreadID == 0 || e.Stop <= e.Start || e.Hostname == "" {
 			t.Fatalf("bad execution: %+v", e)
 		}
 	}
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
+	metas, err := provenance.Drain[dask.TaskMeta](art.Broker, provenance.TopicTaskMeta)
 	if err != nil || len(metas) != 9 {
 		t.Fatalf("task metas = %d, %v", len(metas), err)
 	}
-	tm := provenance.ParseTaskMeta(metas[len(metas)-1])
+	tm := metas[len(metas)-1]
 	if tm.Key == "" || tm.Prefix == "" {
 		t.Fatalf("bad task meta: %+v", tm)
 	}
@@ -141,40 +140,55 @@ func TestEventStreamsDecode(t *testing.T) {
 
 func TestRoundTripEncodeParse(t *testing.T) {
 	tr := dask.Transition{Key: "k-1", From: "waiting", To: "processing", Stimulus: "ready", Location: "scheduler", At: sim.Seconds(1.5)}
-	if got := provenance.ParseTransition(provenance.TransitionEvent(tr)); got != tr {
+	if got := roundTrip(t, tr); got != tr {
 		t.Fatalf("transition round trip: %+v vs %+v", got, tr)
 	}
 	ex := dask.TaskExecution{Key: "k-1", Worker: "tcp://n:40000", Hostname: "n", ThreadID: 1001, Start: sim.Seconds(1), Stop: sim.Seconds(2), OutputSize: 77, GraphID: 3,
 		Files: []dask.FileEffect{{Path: "/lus/out.bin", SizeAfter: 77}}}
-	if got := provenance.ParseExecution(provenance.ExecutionEvent(ex)); !reflect.DeepEqual(got, ex) {
+	if got := roundTrip(t, ex); !reflect.DeepEqual(got, ex) {
 		t.Fatalf("execution round trip: %+v vs %+v", got, ex)
 	}
 	tf := dask.Transfer{Key: "k-1", From: "a", To: "b", Bytes: 123, Start: sim.Seconds(1), Stop: sim.Seconds(2), SameNode: true}
-	if got := provenance.ParseTransfer(provenance.TransferEvent(tf)); got != tf {
+	if got := roundTrip(t, tf); got != tf {
 		t.Fatalf("transfer round trip: %+v vs %+v", got, tf)
 	}
 	ptf := dask.Transfer{Key: "k-2", From: "a", To: "b", Bytes: 1 << 20, Start: sim.Seconds(1), Stop: sim.Seconds(2),
 		ViaProxy: true, ResolveLatency: sim.Milliseconds(35)}
-	if got := provenance.ParseTransfer(provenance.TransferEvent(ptf)); got != ptf {
+	if got := roundTrip(t, ptf); got != ptf {
 		t.Fatalf("proxied transfer round trip: %+v vs %+v", got, ptf)
 	}
 	pe := dask.ProxyEvent{Op: dask.ProxyOpResolve, Key: "k-2", Worker: "tcp://n:40001", Bytes: 1 << 20,
 		Resident: 3 << 20, ResolveLatency: sim.Milliseconds(35), At: sim.Seconds(2)}
-	if got := provenance.ParseProxyEvent(provenance.ProxyEventMeta(pe)); got != pe {
+	if got := roundTrip(t, pe); got != pe {
 		t.Fatalf("proxy event round trip: %+v vs %+v", got, pe)
 	}
 	w := dask.Warning{Kind: dask.WarnGC, Worker: "w", Hostname: "h", At: sim.Seconds(3), Duration: sim.Seconds(0.25), Message: "gc"}
-	if got := provenance.ParseWarning(provenance.WarningEvent(w)); got != w {
+	if got := roundTrip(t, w); got != w {
 		t.Fatalf("warning round trip: %+v vs %+v", got, w)
 	}
 	hb := dask.WorkerMetrics{Worker: "w", At: sim.Seconds(4), Memory: 5, Executing: 6, Ready: 7}
-	if got := provenance.ParseHeartbeat(provenance.HeartbeatEvent(hb)); got != hb {
+	if got := roundTrip(t, hb); got != hb {
 		t.Fatalf("heartbeat round trip: %+v vs %+v", got, hb)
 	}
 	st := dask.StealEvent{Key: "k", Victim: "v", Thief: "t", At: sim.Seconds(5)}
-	if got := provenance.ParseSteal(provenance.StealEventMeta(st)); got != st {
+	if got := roundTrip(t, st); got != st {
 		t.Fatalf("steal round trip: %+v vs %+v", got, st)
 	}
+}
+
+// roundTrip encodes a record the way the collector does and decodes it the
+// way every consumer does.
+func roundTrip[T any](t *testing.T, rec T) T {
+	t.Helper()
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := provenance.Decode[T](mofka.Event{Metadata: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestDisableCollection(t *testing.T) {
@@ -294,7 +308,7 @@ func TestInSituMonitor(t *testing.T) {
 	if got := mon.EventCount(provenance.TopicExecutions); got != 11 {
 		t.Fatalf("in-situ executions = %d, want 11", got)
 	}
-	post, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
+	post, err := provenance.Drain[dask.Transition](art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +325,8 @@ func TestInSituMonitor(t *testing.T) {
 }
 
 func TestRemoteCollectorOverTCP(t *testing.T) {
-	// A real mofkad-style broker behind TCP receives the provenance stream;
+	// A real mofkad-style broker behind TCP receives the provenance stream
+	// from the one Collector, publishing through the remote broker's Bus;
 	// analysis pulls it back over the same wire.
 	broker := mofka.NewStandaloneBroker()
 	ep := mercury.NewEndpoint("mofkad")
@@ -327,13 +342,13 @@ func TestRemoteCollectorOverTCP(t *testing.T) {
 	}
 	defer func() { _ = cli.Close() }()
 	remote := mofka.NewRemote(cli)
-	rc, err := NewRemoteCollector(remote, 16)
+	rc, err := NewCollectorBus(remote.Bus(), 2, mofka.ProducerOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := testSession(33)
-	cfg.DisableCollection = true // the remote collector replaces the local one
+	cfg.DisableCollection = true // the remote-bus collector replaces the local one
 	k := sim.NewKernel(cfg.Seed)
 	plat := platform.New(k, cfg.Platform)
 	fsys := pfs.New(k, cfg.PFS)
@@ -351,7 +366,9 @@ func TestRemoteCollectorOverTCP(t *testing.T) {
 		k.Stop()
 	})
 	k.Run()
-	rc.Flush()
+	if err := rc.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	// All executions arrived on the remote broker.
 	evs, err := remote.Pull(provenance.TopicExecutions, 0, 0, 1000, false)
@@ -365,9 +382,17 @@ func TestRemoteCollectorOverTCP(t *testing.T) {
 	if got := len(evs) + len(evs2); got != 10 {
 		t.Fatalf("remote executions = %d, want 10", got)
 	}
-	pushed, flushes := rc.Stats()
-	if pushed < 10 || flushes == 0 {
-		t.Fatalf("stats = %d pushed, %d flushes", pushed, flushes)
+	// Every pushed event shipped: the remote broker holds all of them.
+	var shipped uint64
+	for _, topic := range provenance.AllTopics() {
+		_, n, err := remote.TopicInfo(topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped += n
+	}
+	if pushed := rc.TotalEvents(); pushed < 10 || shipped != uint64(pushed) {
+		t.Fatalf("%d events pushed, %d shipped", pushed, shipped)
 	}
 }
 
@@ -445,17 +470,17 @@ func TestOnlineIOTracer(t *testing.T) {
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := provenance.DrainTopic(broker, TopicIOTrace)
-	if err != nil || len(metas) != 4 {
-		t.Fatalf("streamed events = %d, %v", len(metas), err)
+	evs, err := provenance.Drain[ioTraceEvent](broker, TopicIOTrace)
+	if err != nil || len(evs) != 4 {
+		t.Fatalf("streamed events = %d, %v", len(evs), err)
 	}
 	// Ordering is per-partition only (round-robin partitioner), so check
 	// the multiset of operations and the identity fields.
 	got := map[string]int{}
-	for i, m := range metas {
-		got[provenance.Str(m, "op")]++
-		if provenance.Str(m, "hostname") != "n0" || uint64(provenance.Num(m, "thread_id")) != 9 {
-			t.Fatalf("event %d identity wrong: %v", i, m)
+	for i, ev := range evs {
+		got[ev.Op]++
+		if ev.Hostname != "n0" || ev.ThreadID != 9 {
+			t.Fatalf("event %d identity wrong: %+v", i, ev)
 		}
 	}
 	for _, op := range []string{"create", "read", "write", "close"} {
@@ -510,13 +535,13 @@ func TestOnlineIOTracerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	metas, err := provenance.DrainTopic(broker, TopicIOTrace)
+	evs, err := provenance.Drain[ioTraceEvent](broker, TopicIOTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamedRW int
-	for _, m := range metas {
-		if op := provenance.Str(m, "op"); op == "read" || op == "write" {
+	for _, ev := range evs {
+		if op := ev.Op; op == "read" || op == "write" {
 			streamedRW++
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"taskprov/internal/dask"
 	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 )
@@ -88,17 +89,25 @@ func (m *InSituMonitor) observe(topic string, ev mofka.Event) {
 	m.counts[topic]++
 	switch topic {
 	case provenance.TopicWarnings:
-		if meta, err := ev.ParseMetadata(); err == nil {
-			m.warn[provenance.Str(meta, "kind")]++
+		if w, err := provenance.Decode[dask.Warning](ev); err == nil {
+			m.warn[string(w.Kind)]++
 		}
 	case provenance.TopicExecutions:
-		if meta, err := ev.ParseMetadata(); err == nil {
-			if d := provenance.Num(meta, "stop") - provenance.Num(meta, "start"); d > m.maxDur {
+		if e, err := provenance.Decode[execSpan](ev); err == nil {
+			if d := e.Stop - e.Start; d > m.maxDur {
 				m.maxDur = d
-				m.maxKey = provenance.Str(meta, "key")
+				m.maxKey = e.Key
 			}
 		}
 	}
+}
+
+// execSpan is the part of an execution record the monitor reads, with the
+// times kept as the float seconds on the wire.
+type execSpan struct {
+	Key   string  `json:"key"`
+	Start float64 `json:"start"`
+	Stop  float64 `json:"stop"`
 }
 
 // Stop drains the remaining events and stops the consumer goroutines.

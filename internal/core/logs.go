@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"taskprov/internal/dask"
 	"taskprov/internal/provenance"
 )
 
@@ -34,15 +35,14 @@ func renderLines(lines []logLine) string {
 // submissions, task erred events, steals, and graph completions.
 func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 	var lines []logLine
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
+	metas, err := provenance.Drain[dask.TaskMeta](art.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return "", err
 	}
 	graphSeen := map[int]bool{}
 	graphCount := map[int]int{}
 	graphAt := map[int]float64{}
-	for _, m := range metas {
-		tm := provenance.ParseTaskMeta(m)
+	for _, tm := range metas {
 		graphCount[tm.GraphID]++
 		if !graphSeen[tm.GraphID] {
 			graphSeen[tm.GraphID] = true
@@ -53,12 +53,11 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 		lines = append(lines, logLine{at, fmt.Sprintf(
 			"INFO  - Receive graph %d (%d tasks) from client", id, graphCount[id])})
 	}
-	trans, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
+	trans, err := provenance.Drain[dask.Transition](art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range trans {
-		tr := provenance.ParseTransition(m)
+	for _, tr := range trans {
 		if tr.Location != "scheduler" {
 			continue
 		}
@@ -71,22 +70,20 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 				"WARN  - Retrying task %s after failure", tr.Key)})
 		}
 	}
-	steals, err := provenance.DrainTopic(art.Broker, provenance.TopicSteals)
+	steals, err := provenance.Drain[dask.StealEvent](art.Broker, provenance.TopicSteals)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range steals {
-		s := provenance.ParseSteal(m)
+	for _, s := range steals {
 		lines = append(lines, logLine{s.At.Seconds(), fmt.Sprintf(
 			"INFO  - Moving task %s from %s to %s (work stealing)", s.Key, s.Victim, s.Thief)})
 	}
-	graphs, err := provenance.DrainTopic(art.Broker, provenance.TopicGraphs)
+	graphs, err := provenance.Drain[provenance.GraphEvent](art.Broker, provenance.TopicGraphs)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range graphs {
-		lines = append(lines, logLine{provenance.Num(m, "at"), fmt.Sprintf(
-			"INFO  - Graph %d complete", int(provenance.Num(m, "graph_id")))})
+	for _, g := range graphs {
+		lines = append(lines, logLine{g.At, fmt.Sprintf("INFO  - Graph %d complete", g.GraphID)})
 	}
 	return renderLines(lines), nil
 }
@@ -95,12 +92,11 @@ func RenderSchedulerLog(art *RunArtifacts) (string, error) {
 // exact phrasing Dask workers emit (the strings log-scrapers match on).
 func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 	var lines []logLine
-	warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	warns, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return "", err
 	}
-	for _, m := range warns {
-		w := provenance.ParseWarning(m)
+	for _, w := range warns {
 		if w.Worker != worker {
 			continue
 		}
@@ -115,13 +111,13 @@ func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 			lines = append(lines, logLine{w.At.Seconds(), "WARN  - " + w.Message})
 		}
 	}
-	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return "", err
 	}
 	n := 0
-	for _, m := range execs {
-		if provenance.Str(m, "worker") == worker {
+	for _, e := range execs {
+		if e.Worker == worker {
 			n++
 		}
 	}
@@ -133,20 +129,20 @@ func RenderWorkerLog(art *RunArtifacts, worker string) (string, error) {
 
 // WorkerAddrs lists the worker addresses observed in the run.
 func (a *RunArtifacts) WorkerAddrs() ([]string, error) {
-	execs, err := provenance.DrainTopic(a.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](a.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, err
 	}
 	set := map[string]bool{}
-	for _, m := range execs {
-		set[provenance.Str(m, "worker")] = true
+	for _, e := range execs {
+		set[e.Worker] = true
 	}
-	hbs, err := provenance.DrainTopic(a.Broker, provenance.TopicHeartbeats)
+	hbs, err := provenance.Drain[dask.WorkerMetrics](a.Broker, provenance.TopicHeartbeats)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range hbs {
-		set[provenance.Str(m, "worker")] = true
+	for _, h := range hbs {
+		set[h.Worker] = true
 	}
 	var out []string
 	for w := range set {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"taskprov/internal/mofka"
 	"taskprov/internal/posixio"
+	"taskprov/internal/sim"
 )
 
 // TopicIOTrace is the Mofka topic the online I/O tracer publishes to.
@@ -40,17 +42,29 @@ func NewOnlineIOTracer(broker *mofka.Broker, opts mofka.ProducerOptions, inner p
 
 var _ posixio.Tracer = (*OnlineIOTracer)(nil)
 
-func (o *OnlineIOTracer) event(op string, rec posixio.OpRecord) mofka.Metadata {
-	return mofka.Metadata{
-		"op": op, "rank": o.rank, "hostname": o.hostname,
-		"path": rec.Path, "thread_id": rec.TID,
-		"offset": rec.Offset, "bytes": rec.Bytes,
-		"start": rec.Start.Seconds(), "end": rec.End.Seconds(),
-	}
+// ioTraceEvent is one POSIX operation on TopicIOTrace.
+type ioTraceEvent struct {
+	Op       string   `json:"op"`
+	Rank     int      `json:"rank"`
+	Hostname string   `json:"hostname"`
+	Path     string   `json:"path"`
+	ThreadID uint64   `json:"thread_id"`
+	Offset   int64    `json:"offset"`
+	Bytes    int64    `json:"bytes"`
+	Start    sim.Time `json:"start"`
+	End      sim.Time `json:"end"`
 }
 
 func (o *OnlineIOTracer) push(op string, rec posixio.OpRecord) {
-	if err := o.producer.Push(o.event(op, rec), nil); err != nil {
+	meta, err := json.Marshal(ioTraceEvent{
+		Op: op, Rank: o.rank, Hostname: o.hostname,
+		Path: rec.Path, ThreadID: rec.TID, Offset: rec.Offset, Bytes: rec.Bytes,
+		Start: rec.Start, End: rec.End,
+	})
+	if err == nil {
+		err = o.producer.PushRaw(meta, nil)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("core: online io trace push: %v", err))
 	}
 }

@@ -11,13 +11,14 @@
 // traces independently, and the two are only fused later, at analysis time,
 // on shared identifiers (hostname, pthread ID, timestamps).
 //
-// The event schema itself — topic names and the encode/parse pairs — lives
-// in internal/provenance so that stream consumers that core itself depends
-// on (the live monitoring subsystem, internal/live) can share it without an
-// import cycle.
+// The event schema itself — topic names, and the dask record structs as the
+// wire format — lives in internal/provenance and internal/dask so that
+// stream consumers that core itself depends on (the live monitoring
+// subsystem, internal/live) can share it without an import cycle.
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -134,16 +135,21 @@ func (c *Collector) producerRecovered(topic string) {
 }
 
 func (c *Collector) pushWarning(w dask.Warning) {
-	c.push(provenance.TopicWarnings, provenance.WarningEvent(w))
+	c.push(provenance.TopicWarnings, w)
 }
 
-// push publishes one event. Structural failures (invalid event, missing
-// partition, closed broker) panic — they indicate a broken in-process
-// pipeline. Transient append failures do not: the producer keeps the batch
+// push publishes one record, JSON-encoded as the event's metadata.
+// Structural failures (invalid event, missing partition, closed broker)
+// panic — they indicate a broken in-process pipeline. Transient append failures do not: the producer keeps the batch
 // buffered and retries, and the degraded-mode hooks document the episode.
-func (c *Collector) push(topic string, m mofka.Metadata) {
+func (c *Collector) push(topic string, rec any) {
+	meta, err := json.Marshal(rec)
+	if err != nil {
+		// Records are plain structs of strings and numbers; this cannot fail.
+		panic(fmt.Sprintf("core: encode %s event: %v", topic, err))
+	}
 	c.events[topic]++
-	err := c.producers[topic].Push(m, nil)
+	err = c.producers[topic].PushRaw(meta, nil)
 	if err == nil {
 		return
 	}
@@ -185,38 +191,38 @@ func (c *Collector) WorkerPlugin() dask.WorkerPlugin { return &workerPlugin{c} }
 type schedPlugin struct{ c *Collector }
 
 func (p *schedPlugin) TaskAdded(m dask.TaskMeta) {
-	p.c.push(provenance.TopicTaskMeta, provenance.TaskMetaEvent(m))
+	p.c.push(provenance.TopicTaskMeta, m)
 }
 func (p *schedPlugin) SchedulerTransition(t dask.Transition) {
-	p.c.push(provenance.TopicTransitions, provenance.TransitionEvent(t))
+	p.c.push(provenance.TopicTransitions, t)
 }
 func (p *schedPlugin) GraphDone(id int, at sim.Time) {
-	p.c.push(provenance.TopicGraphs, provenance.GraphDoneEvent(id, at))
+	p.c.push(provenance.TopicGraphs, provenance.GraphEvent{GraphID: id, Event: provenance.GraphDone, At: at.Seconds()})
 }
 func (p *schedPlugin) Stolen(ev dask.StealEvent) {
-	p.c.push(provenance.TopicSteals, provenance.StealEventMeta(ev))
+	p.c.push(provenance.TopicSteals, ev)
 }
 func (p *schedPlugin) Speculation(ev dask.SpeculationEvent) {
-	p.c.push(provenance.TopicSpeculation, provenance.SpeculationEventMeta(ev))
+	p.c.push(provenance.TopicSpeculation, ev)
 }
 
 type workerPlugin struct{ c *Collector }
 
 func (p *workerPlugin) WorkerTransition(t dask.Transition) {
-	p.c.push(provenance.TopicTransitions, provenance.TransitionEvent(t))
+	p.c.push(provenance.TopicTransitions, t)
 }
 func (p *workerPlugin) TaskExecuted(rec dask.TaskExecution) {
-	p.c.push(provenance.TopicExecutions, provenance.ExecutionEvent(rec))
+	p.c.push(provenance.TopicExecutions, rec)
 }
 func (p *workerPlugin) TransferReceived(rec dask.Transfer) {
-	p.c.push(provenance.TopicTransfers, provenance.TransferEvent(rec))
+	p.c.push(provenance.TopicTransfers, rec)
 }
 func (p *workerPlugin) WorkerWarning(w dask.Warning) {
-	p.c.push(provenance.TopicWarnings, provenance.WarningEvent(w))
+	p.c.push(provenance.TopicWarnings, w)
 }
 func (p *workerPlugin) Heartbeat(m dask.WorkerMetrics) {
-	p.c.push(provenance.TopicHeartbeats, provenance.HeartbeatEvent(m))
+	p.c.push(provenance.TopicHeartbeats, m)
 }
 func (p *workerPlugin) ProxyEvent(ev dask.ProxyEvent) {
-	p.c.push(provenance.TopicProxy, provenance.ProxyEventMeta(ev))
+	p.c.push(provenance.TopicProxy, ev)
 }

@@ -72,13 +72,9 @@ func TestProxyClusterChaosAcceptance(t *testing.T) {
 		if wf.graphErr != "" {
 			t.Fatalf("graph erred under %q: %s", chaosSpec, wf.graphErr)
 		}
-		metas, err := provenance.DrainTopic(art.Broker, provenance.TopicProxy)
+		evs, err := provenance.Drain[dask.ProxyEvent](art.Broker, provenance.TopicProxy)
 		if err != nil {
 			t.Fatal(err)
-		}
-		evs := make([]dask.ProxyEvent, len(metas))
-		for i, m := range metas {
-			evs[i] = provenance.ParseProxyEvent(m)
 		}
 		return evs
 	}

@@ -111,15 +111,14 @@ func resumeTestSession(seed uint64) SessionConfig {
 // the output size of each key's latest record.
 func drainExecs(t *testing.T, art *RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	metas, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts = make(map[dask.TaskKey]int)
 	sizes = make(map[dask.TaskKey]int64)
 	stops := make(map[dask.TaskKey]float64)
-	for _, m := range metas {
-		e := provenance.ParseExecution(m)
+	for _, e := range metas {
 		counts[e.Key]++
 		if s := e.Stop.Seconds(); s >= stops[e.Key] {
 			stops[e.Key] = s
@@ -263,13 +262,13 @@ func TestResumeEquivalence(t *testing.T) {
 			if art.Meta.Attempt != 2 || art.Meta.ResumedFrom != 1 {
 				t.Fatalf("metadata attempt = %d resumed_from = %d", art.Meta.Attempt, art.Meta.ResumedFrom)
 			}
-			warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+			warns, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seen := 0
-			for _, m := range warns {
-				if provenance.ParseWarning(m).Kind == dask.WarnSessionResumed {
+			for _, w := range warns {
+				if w.Kind == dask.WarnSessionResumed {
 					seen++
 				}
 			}

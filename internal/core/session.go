@@ -962,11 +962,11 @@ func (a *RunArtifacts) TotalPosixOps() int64 {
 // TotalCommunications counts incoming inter-worker transfers — Table I's
 // "Communications".
 func (a *RunArtifacts) TotalCommunications() (int64, error) {
-	metas, err := provenance.DrainTopic(a.Broker, provenance.TopicTransfers)
+	transfers, err := provenance.Drain[dask.Transfer](a.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(metas)), nil
+	return int64(len(transfers)), nil
 }
 
 // DistinctFiles counts the distinct file paths across Darshan logs —
@@ -984,13 +984,13 @@ func (a *RunArtifacts) DistinctFiles() int {
 // DistinctTasks counts tasks registered at the scheduler — Table I's
 // "Distinct tasks".
 func (a *RunArtifacts) DistinctTasks() (int, error) {
-	metas, err := provenance.DrainTopic(a.Broker, provenance.TopicTaskMeta)
+	metas, err := provenance.Drain[dask.TaskMeta](a.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return 0, err
 	}
-	set := map[string]struct{}{}
+	set := map[dask.TaskKey]struct{}{}
 	for _, m := range metas {
-		set[provenance.Str(m, "key")] = struct{}{}
+		set[m.Key] = struct{}{}
 	}
 	return len(set), nil
 }
@@ -999,13 +999,13 @@ func (a *RunArtifacts) DistinctTasks() (int, error) {
 // graphs". Distinct by graph ID: a resumed run's merged stream can carry a
 // graph's done event from more than one attempt.
 func (a *RunArtifacts) TaskGraphs() (int, error) {
-	metas, err := provenance.DrainTopic(a.Broker, provenance.TopicGraphs)
+	graphs, err := provenance.Drain[provenance.GraphEvent](a.Broker, provenance.TopicGraphs)
 	if err != nil {
 		return 0, err
 	}
 	set := map[int]struct{}{}
-	for _, m := range metas {
-		set[int(provenance.Num(m, "graph_id"))] = struct{}{}
+	for _, g := range graphs {
+		set[g.GraphID] = struct{}{}
 	}
 	return len(set), nil
 }

@@ -103,5 +103,5 @@ func (s *Session) pushSpeculation(ev dask.SpeculationEvent) {
 	if s.collector == nil {
 		return
 	}
-	s.collector.push(provenance.TopicSpeculation, provenance.SpeculationEventMeta(ev))
+	s.collector.push(provenance.TopicSpeculation, ev)
 }

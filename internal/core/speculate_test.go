@@ -61,13 +61,9 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 	if wf.graphErr != "" {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicSpeculation)
+	evs, err := provenance.Drain[dask.SpeculationEvent](art.Broker, provenance.TopicSpeculation)
 	if err != nil {
 		t.Fatal(err)
-	}
-	evs := make([]dask.SpeculationEvent, len(metas))
-	for i, m := range metas {
-		evs[i] = provenance.ParseSpeculationEvent(m)
 	}
 	return art, evs
 }
@@ -76,13 +72,12 @@ func brownoutRun(t *testing.T, seed uint64, chaosSpec string, speculate bool) (*
 // bytes from the run's proxy event stream (publish minus free/reclaim).
 func proxyFinalResident(t *testing.T, art *RunArtifacts) int64 {
 	t.Helper()
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicProxy)
+	metas, err := provenance.Drain[dask.ProxyEvent](art.Broker, provenance.TopicProxy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resident int64
-	for _, m := range metas {
-		ev := provenance.ParseProxyEvent(m)
+	for _, ev := range metas {
 		switch ev.Op {
 		case dask.ProxyOpPublish:
 			resident += ev.Bytes
@@ -140,13 +135,13 @@ func TestBrownoutSpeculationAcceptance(t *testing.T) {
 
 	// Zero duplicate side effects: exactly one winning execution record per
 	// task key — a cancelled loser never reports its execution.
-	metas, err := provenance.DrainTopic(hedged.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](hedged.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perKey := map[dask.TaskKey]int{}
-	for _, m := range metas {
-		perKey[provenance.ParseExecution(m).Key]++
+	for _, e := range execs {
+		perKey[e.Key]++
 	}
 	for k, n := range perKey {
 		if n != 1 {
@@ -200,14 +195,13 @@ func TestHeartbeatJitterDesynchronizesMultiRestart(t *testing.T) {
 		t.Fatalf("graph erred: %s", wf.graphErr)
 	}
 
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicHeartbeats)
+	metas, err := provenance.Drain[dask.WorkerMetrics](art.Broker, provenance.TopicHeartbeats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restart := sim.Seconds(6)
 	first := map[string]sim.Time{} // port suffix -> first post-restart heartbeat
-	for _, m := range metas {
-		hb := provenance.ParseHeartbeat(m)
+	for _, hb := range metas {
 		var suffix string
 		for _, rank := range []int{0, 1, 2} {
 			if strings.HasSuffix(hb.Worker, fmt.Sprintf(":%d", 40000+rank)) {
@@ -289,13 +283,13 @@ func TestRetryStormBoundedUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicSpeculation)
+	evs, err := provenance.Drain[dask.SpeculationEvent](art.Broker, provenance.TopicSpeculation)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var retries, denied int64
-	for _, m := range metas {
-		switch ev := provenance.ParseSpeculationEvent(m); ev.Kind {
+	for _, ev := range evs {
+		switch ev.Kind {
 		case dask.SpecRetry:
 			retries++
 			if ev.Primary != "badnode" || ev.Detail == "" {

@@ -32,7 +32,7 @@ type TaskMeta struct {
 	Prefix  string    `json:"prefix"`
 	Group   string    `json:"group"`
 	GraphID int       `json:"graph_id"`
-	Deps    []TaskKey `json:"deps"`
+	Deps    []TaskKey `json:"deps,omitempty"`
 	At      sim.Time  `json:"at"`
 }
 

@@ -23,13 +23,14 @@
 package live
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
 	"taskprov/internal/darshan"
 	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 	"taskprov/internal/whatif"
 )
@@ -416,16 +417,36 @@ func (a *Aggregator) worker(name string) *WorkerStats {
 	return w
 }
 
-// IngestEvent feeds one provenance event. partition is the Mofka partition
-// the event came from; events of one partition must be fed in partition
-// order (both the live pull loop and the post-mortem replay guarantee this).
-func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) {
+// IngestEvent feeds one provenance event's metadata, decoded as the
+// record type of its topic. partition is the Mofka partition the event came
+// from; events of one partition must be fed in partition order (both the
+// live pull loop and the post-mortem replay guarantee this). Metadata that
+// does not decode is rejected with an error and leaves the aggregates
+// untouched.
+func (a *Aggregator) IngestEvent(topic string, partition int, meta []byte) error {
 	a.mu.Lock()
+	raised, err := a.ingest(topic, partition, meta)
+	subs := a.subs
+	a.mu.Unlock()
+	for _, an := range raised {
+		for _, fn := range subs {
+			fn(an)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("live: %s event: %w", topic, err)
+	}
+	return nil
+}
+
+func (a *Aggregator) ingest(topic string, partition int, meta []byte) ([]Anomaly, error) {
 	var raised []Anomaly
-	a.events++
 	switch topic {
 	case provenance.TopicTransitions:
-		t := provenance.ParseTransition(m)
+		var t dask.Transition
+		if err := json.Unmarshal(meta, &t); err != nil {
+			return nil, err
+		}
 		a.transitions++
 		if f := string(t.From); f != "" {
 			a.occupancy[f]--
@@ -434,7 +455,10 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 			a.occupancy[to]++
 		}
 	case provenance.TopicExecutions:
-		e := provenance.ParseExecution(m)
+		var e dask.TaskExecution
+		if err := json.Unmarshal(meta, &e); err != nil {
+			return nil, err
+		}
 		dur := (e.Stop - e.Start).Seconds()
 		a.tasks++
 		l := a.lane(topic, partition)
@@ -466,7 +490,10 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 		}
 		raised = a.detect.onDuration(g, dur, stop)
 	case provenance.TopicTransfers:
-		t := provenance.ParseTransfer(m)
+		var t dask.Transfer
+		if err := json.Unmarshal(meta, &t); err != nil {
+			return nil, err
+		}
 		a.transfers++
 		a.transferBytes += t.Bytes
 		a.lane(topic, partition).commSeconds += (t.Stop - t.Start).Seconds()
@@ -477,7 +504,10 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 			b.TransferBytes += t.Bytes
 		}
 	case provenance.TopicWarnings:
-		w := provenance.ParseWarning(m)
+		var w dask.Warning
+		if err := json.Unmarshal(meta, &w); err != nil {
+			return nil, err
+		}
 		kind := string(w.Kind)
 		a.warnings[kind]++
 		a.worker(w.Worker).Warnings++
@@ -495,7 +525,10 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 		a.windows.addWarning(at, kind)
 		raised = a.detect.onWarning(kind, w.Worker, at)
 	case provenance.TopicProxy:
-		e := provenance.ParseProxyEvent(m)
+		var e dask.ProxyEvent
+		if err := json.Unmarshal(meta, &e); err != nil {
+			return nil, err
+		}
 		if a.proxy == nil {
 			a.proxy = &ProxyStats{}
 		}
@@ -523,7 +556,10 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 			p.PeakResidentBytes = e.Resident
 		}
 	case provenance.TopicSpeculation:
-		e := provenance.ParseSpeculationEvent(m)
+		var e dask.SpeculationEvent
+		if err := json.Unmarshal(meta, &e); err != nil {
+			return nil, err
+		}
 		if a.spec == nil {
 			a.spec = &SpeculationStats{}
 		}
@@ -547,8 +583,11 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 			a.lane(topic, partition).wastedSeconds += e.Wasted.Seconds()
 		}
 	case provenance.TopicTaskMeta:
+		var tm dask.TaskMeta
+		if err := json.Unmarshal(meta, &tm); err != nil {
+			return nil, err
+		}
 		a.submitted++
-		tm := provenance.ParseTaskMeta(m)
 		key := string(tm.Key)
 		if _, ok := a.critDeps[key]; !ok && len(tm.Deps) > 0 && len(a.critDeps) < a.opts.CritPathTaskCap {
 			deps := make([]string, len(tm.Deps))
@@ -558,18 +597,17 @@ func (a *Aggregator) IngestEvent(topic string, partition int, m mofka.Metadata) 
 			a.critDeps[key] = deps
 		}
 	case provenance.TopicGraphs:
-		if provenance.Str(m, "event") == "done" {
+		var g provenance.GraphEvent
+		if err := json.Unmarshal(meta, &g); err != nil {
+			return nil, err
+		}
+		if g.Event == provenance.GraphDone {
 			a.graphsDone++
 		}
 	}
+	a.events++
 	a.anomalies = append(a.anomalies, raised...)
-	subs := a.subs
-	a.mu.Unlock()
-	for _, an := range raised {
-		for _, fn := range subs {
-			fn(an)
-		}
-	}
+	return raised, nil
 }
 
 // IngestDarshanLog folds one per-worker Darshan log into the I/O aggregates:

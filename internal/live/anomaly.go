@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
-	"taskprov/internal/provenance"
 )
 
 // Anomaly kinds raised by the online detectors.
@@ -27,26 +25,6 @@ type Anomaly struct {
 	Value   float64 `json:"value"`   // z-score, streak length, or bandwidth ratio
 	Limit   float64 `json:"limit"`   // the threshold that was crossed
 	Detail  string  `json:"detail"`
-}
-
-// Event encodes the anomaly as Mofka event metadata.
-func (a Anomaly) Event() mofka.Metadata {
-	return mofka.Metadata{
-		"kind": a.Kind, "subject": a.Subject, "at": a.At,
-		"value": a.Value, "limit": a.Limit, "detail": a.Detail,
-	}
-}
-
-// ParseAnomaly decodes metadata written by Anomaly.Event.
-func ParseAnomaly(m mofka.Metadata) Anomaly {
-	return Anomaly{
-		Kind:    provenance.Str(m, "kind"),
-		Subject: provenance.Str(m, "subject"),
-		At:      provenance.Num(m, "at"),
-		Value:   provenance.Num(m, "value"),
-		Limit:   provenance.Num(m, "limit"),
-		Detail:  provenance.Str(m, "detail"),
-	}
 }
 
 // AnomalyConfig tunes the online detectors.

@@ -20,9 +20,9 @@ import (
 func TestAggregatorClusterHealthLane(t *testing.T) {
 	a := NewAggregator(AggregatorOptions{})
 	warn := func(kind dask.WarningKind, at sim.Time, worker, msg string) {
-		a.IngestEvent(provenance.TopicWarnings, 0, provenance.WarningEvent(dask.Warning{
+		ingest(t, a, provenance.TopicWarnings, 0, dask.Warning{
 			Kind: kind, Worker: worker, At: at, Message: msg,
-		}))
+		})
 	}
 	warn("cluster_leader_elected", sim.Seconds(6), "broker-1", "warnings[0] epoch=2")
 	warn("cluster_broker_dead", sim.Seconds(6), "broker-0", "killed")
@@ -85,7 +85,7 @@ func TestConsumerLagSurfaced(t *testing.T) {
 	}
 	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1})
 	for i := 0; i < 10; i++ {
-		if err := p.Push(exec("t-%03d", "w0", float64(i), float64(i)+0.5), nil); err != nil {
+		if err := pushRecord(p, exec("t-%03d", "w0", float64(i), float64(i)+0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"taskprov/internal/dask"
-	"taskprov/internal/mofka"
 	"taskprov/internal/provenance"
 	"taskprov/internal/sim"
 )
@@ -12,25 +11,25 @@ import (
 // critpathEvents builds a two-partition event stream for a diamond DAG
 // (a -> b, a -> c, {b,c} -> d) with known durations: the heaviest chain is
 // a(1s) -> c(4s) -> d(8s) = 13s.
-func critpathEvents() (p0, p1 []mofka.Metadata) {
-	meta := func(key string, deps ...dask.TaskKey) mofka.Metadata {
-		return provenance.TaskMetaEvent(dask.TaskMeta{
+func critpathEvents() (p0, p1 []any) {
+	meta := func(key string, deps ...dask.TaskKey) any {
+		return dask.TaskMeta{
 			Key: dask.TaskKey(key), Prefix: key, GraphID: 1, Deps: deps,
-		})
+		}
 	}
-	exec := func(key string, start, stop float64) mofka.Metadata {
-		return provenance.ExecutionEvent(dask.TaskExecution{
+	exec := func(key string, start, stop float64) any {
+		return dask.TaskExecution{
 			Key: dask.TaskKey(key), Worker: "w0", Hostname: "n0",
 			Start: sim.Seconds(start), Stop: sim.Seconds(stop),
-		})
+		}
 	}
-	p0 = []mofka.Metadata{
+	p0 = []any{
 		meta("a"),
 		meta("b", "a"),
 		exec("a", 0, 1),
 		exec("b", 1, 3),
 	}
-	p1 = []mofka.Metadata{
+	p1 = []any{
 		meta("c", "a"),
 		meta("d", "b", "c"),
 		exec("c", 1, 5),
@@ -53,27 +52,27 @@ func TestCriticalPathLaneCommutes(t *testing.T) {
 
 	forward := run(func(a *Aggregator) {
 		for _, m := range p0 {
-			a.IngestEvent(topicOf(m), 0, m)
+			ingest(t, a, topicOf(m), 0, m)
 		}
 		for _, m := range p1 {
-			a.IngestEvent(topicOf(m), 1, m)
+			ingest(t, a, topicOf(m), 1, m)
 		}
 	})
 	backward := run(func(a *Aggregator) {
 		for _, m := range p1 {
-			a.IngestEvent(topicOf(m), 1, m)
+			ingest(t, a, topicOf(m), 1, m)
 		}
 		for _, m := range p0 {
-			a.IngestEvent(topicOf(m), 0, m)
+			ingest(t, a, topicOf(m), 0, m)
 		}
 	})
 	interleaved := run(func(a *Aggregator) {
 		for i := 0; i < len(p0) || i < len(p1); i++ {
 			if i < len(p1) {
-				a.IngestEvent(topicOf(p1[i]), 1, p1[i])
+				ingest(t, a, topicOf(p1[i]), 1, p1[i])
 			}
 			if i < len(p0) {
-				a.IngestEvent(topicOf(p0[i]), 0, p0[i])
+				ingest(t, a, topicOf(p0[i]), 0, p0[i])
 			}
 		}
 	})
@@ -87,9 +86,9 @@ func TestCriticalPathLaneCommutes(t *testing.T) {
 	}
 }
 
-// topicOf routes a test event to its provenance topic by shape.
-func topicOf(m mofka.Metadata) string {
-	if _, ok := m["deps"]; ok {
+// topicOf routes a test record to its provenance topic by type.
+func topicOf(m any) string {
+	if _, ok := m.(dask.TaskMeta); ok {
 		return provenance.TopicTaskMeta
 	}
 	return provenance.TopicExecutions
@@ -98,16 +97,16 @@ func topicOf(m mofka.Metadata) string {
 // TestCriticalPathLaneReexecution: a re-executed task (worker crash) must
 // contribute its longest attempt regardless of which record arrives first.
 func TestCriticalPathLaneReexecution(t *testing.T) {
-	short := provenance.ExecutionEvent(dask.TaskExecution{
+	short := dask.TaskExecution{
 		Key: "x", Worker: "w0", Hostname: "n0", Start: sim.Seconds(0), Stop: sim.Seconds(1),
-	})
-	long := provenance.ExecutionEvent(dask.TaskExecution{
+	}
+	long := dask.TaskExecution{
 		Key: "x", Worker: "w1", Hostname: "n1", Start: sim.Seconds(2), Stop: sim.Seconds(5),
-	})
-	for _, order := range [][]mofka.Metadata{{short, long}, {long, short}} {
+	}
+	for _, order := range [][]any{{short, long}, {long, short}} {
 		a := NewAggregator(AggregatorOptions{})
 		for i, m := range order {
-			a.IngestEvent(provenance.TopicExecutions, i, m)
+			ingest(t, a, provenance.TopicExecutions, i, m)
 		}
 		if got := a.Snapshot().CriticalPathSeconds; got != 3 {
 			t.Errorf("re-execution lane = %g, want 3 (longest attempt)", got)
@@ -120,10 +119,10 @@ func TestCriticalPathLaneReexecution(t *testing.T) {
 func TestCriticalPathLaneCap(t *testing.T) {
 	a := NewAggregator(AggregatorOptions{CritPathTaskCap: 2})
 	for i, k := range []string{"a", "b", "c", "d"} {
-		a.IngestEvent(provenance.TopicExecutions, 0, provenance.ExecutionEvent(dask.TaskExecution{
+		ingest(t, a, provenance.TopicExecutions, 0, dask.TaskExecution{
 			Key: dask.TaskKey(k), Worker: "w0", Hostname: "n0",
 			Start: sim.Seconds(float64(i)), Stop: sim.Seconds(float64(i) + 1),
-		}))
+		})
 	}
 	if got := a.Snapshot().CriticalPathSeconds; got != 1 {
 		t.Errorf("capped lane = %g, want 1 (independent 1s tasks, capped at 2)", got)

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -167,7 +168,11 @@ func (m *Monitor) publish(a Anomaly) {
 		}
 		m.emitter = t.NewProducer(mofka.ProducerOptions{BatchSize: 1})
 	}
-	if err := m.emitter.Push(a.Event(), nil); err != nil {
+	meta, err := json.Marshal(a)
+	if err == nil {
+		err = m.emitter.PushRaw(meta, nil)
+	}
+	if err != nil {
 		m.emitDead = true
 		m.logf("live: anomaly emission disabled: %v", err)
 	}
@@ -219,7 +224,9 @@ func (m *Monitor) sweep() int {
 			}
 			total += len(evs)
 			for _, ev := range evs {
-				m.agg.IngestEvent(topic, ev.Partition, provenance.MustParse(ev))
+				if err := m.agg.IngestEvent(topic, ev.Partition, ev.Metadata); err != nil {
+					m.logf("%v", err)
+				}
 			}
 			if !m.commitOff {
 				if err := c.CommitBatch(evs); err != nil {

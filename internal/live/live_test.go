@@ -62,7 +62,7 @@ func TestWindowRing(t *testing.T) {
 
 func TestAggregatorNegativeTimeAndUnknownTopic(t *testing.T) {
 	a := NewAggregator(AggregatorOptions{})
-	a.IngestEvent("no-such-topic", 0, mofka.Metadata{"x": 1.0})
+	ingest(t, a, "no-such-topic", 0, map[string]float64{"x": 1})
 	a.IngestIOSegment("w0", 100, -5)
 	s := a.Snapshot()
 	if s.Events != 1 || s.IOOps != 0 {
@@ -71,42 +71,42 @@ func TestAggregatorNegativeTimeAndUnknownTopic(t *testing.T) {
 }
 
 // exec builds one execution event's metadata.
-func exec(key string, worker string, start, stop float64) mofka.Metadata {
-	return provenance.ExecutionEvent(dask.TaskExecution{
+func exec(key string, worker string, start, stop float64) any {
+	return dask.TaskExecution{
 		Key: dask.TaskKey(key), Worker: worker, Hostname: worker + "-host",
 		Start: sim.Seconds(start), Stop: sim.Seconds(stop), OutputSize: 64, GraphID: 1,
-	})
+	}
 }
 
 func TestAggregatorOrderIndependence(t *testing.T) {
 	events := []struct {
 		topic string
 		part  int
-		m     mofka.Metadata
+		m     any
 	}{}
 	for i := 0; i < 40; i++ {
 		events = append(events, struct {
 			topic string
 			part  int
-			m     mofka.Metadata
+			m     any
 		}{provenance.TopicExecutions, i % 2, exec(fmt.Sprintf("load-%04d", i), fmt.Sprintf("w%d", i%3), float64(i), float64(i)+0.1*float64(i%7))})
 	}
 	for i := 0; i < 10; i++ {
 		events = append(events, struct {
 			topic string
 			part  int
-			m     mofka.Metadata
-		}{provenance.TopicTransfers, i % 2, provenance.TransferEvent(dask.Transfer{
+			m     any
+		}{provenance.TopicTransfers, i % 2, dask.Transfer{
 			Key: dask.TaskKey(fmt.Sprintf("load-%04d", i)), From: "w0", To: "w1",
 			Bytes: 1 << 16, Start: sim.Seconds(float64(i)), Stop: sim.Seconds(float64(i) + 0.05),
-		})})
+		}})
 	}
 
 	feed := func(order []int) Summary {
 		a := NewAggregator(AggregatorOptions{})
 		for _, idx := range order {
 			e := events[idx]
-			a.IngestEvent(e.topic, e.part, e.m)
+			ingest(t, a, e.topic, e.part, e.m)
 		}
 		a.SetWall(50)
 		return a.Snapshot()
@@ -145,9 +145,9 @@ func TestAggregatorOrderIndependence(t *testing.T) {
 func TestStateOccupancy(t *testing.T) {
 	a := NewAggregator(AggregatorOptions{})
 	trans := func(key, from, to string, at float64) {
-		a.IngestEvent(provenance.TopicTransitions, 0, provenance.TransitionEvent(dask.Transition{
+		ingest(t, a, provenance.TopicTransitions, 0, dask.Transition{
 			Key: dask.TaskKey(key), From: dask.TaskState(from), To: dask.TaskState(to), At: sim.Seconds(at),
-		}))
+		})
 	}
 	trans("a", "", "released", 0)
 	trans("a", "released", "waiting", 1)
@@ -165,12 +165,12 @@ func TestStragglerDetector(t *testing.T) {
 	var got []Anomaly
 	a.OnAnomaly(func(an Anomaly) { got = append(got, an) })
 	for i := 0; i < 40; i++ {
-		a.IngestEvent(provenance.TopicExecutions, 0, exec(fmt.Sprintf("load-%04d", i), "w0", float64(i), float64(i)+1.0+0.001*float64(i%5)))
+		ingest(t, a, provenance.TopicExecutions, 0, exec(fmt.Sprintf("load-%04d", i), "w0", float64(i), float64(i)+1.0+0.001*float64(i%5)))
 	}
 	if len(got) != 0 {
 		t.Fatalf("no stragglers expected yet, got %v", got)
 	}
-	a.IngestEvent(provenance.TopicExecutions, 0, exec("load-9999", "w0", 50, 60)) // 10s vs ~1s median
+	ingest(t, a, provenance.TopicExecutions, 0, exec("load-9999", "w0", 50, 60)) // 10s vs ~1s median
 	if len(got) != 1 || got[0].Kind != AnomalyStraggler || got[0].Subject != "load" {
 		t.Fatalf("straggler anomalies = %v", got)
 	}
@@ -184,9 +184,9 @@ func TestEventLoopStreakDetector(t *testing.T) {
 	var got []Anomaly
 	a.OnAnomaly(func(an Anomaly) { got = append(got, an) })
 	warn := func(worker string, at float64) {
-		a.IngestEvent(provenance.TopicWarnings, 0, provenance.WarningEvent(dask.Warning{
+		ingest(t, a, provenance.TopicWarnings, 0, dask.Warning{
 			Kind: dask.WarnEventLoop, Worker: worker, At: sim.Seconds(at), Duration: sim.Seconds(2),
-		}))
+		})
 	}
 	warn("w0", 0)
 	warn("w0", 5)
@@ -201,9 +201,9 @@ func TestEventLoopStreakDetector(t *testing.T) {
 	}
 	// GC warnings never count toward event-loop streaks.
 	for i := 0; i < 5; i++ {
-		a.IngestEvent(provenance.TopicWarnings, 0, provenance.WarningEvent(dask.Warning{
+		ingest(t, a, provenance.TopicWarnings, 0, dask.Warning{
 			Kind: dask.WarnGC, Worker: "w1", At: sim.Seconds(float64(200 + i)),
-		}))
+		})
 	}
 	if len(got) != 1 {
 		t.Fatalf("GC warnings must not trigger streaks: %v", got)
@@ -231,9 +231,36 @@ func TestIOCollapseDetector(t *testing.T) {
 
 func TestAnomalyEventRoundTrip(t *testing.T) {
 	in := Anomaly{Kind: AnomalyStraggler, Subject: "load", At: 12.5, Value: 4.2, Limit: 3.5, Detail: "d"}
-	if out := ParseAnomaly(in.Event()); out != in {
-		t.Fatalf("round trip: %+v != %+v", out, in)
+	meta, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
 	}
+	out, err := provenance.Decode[Anomaly](mofka.Event{Metadata: meta})
+	if err != nil || out != in {
+		t.Fatalf("round trip: %+v != %+v (%v)", out, in, err)
+	}
+}
+
+// ingest feeds one record to the aggregator JSON-encoded, as the collector
+// pushes it, and fails the test if it does not decode.
+func ingest(t testing.TB, a *Aggregator, topic string, partition int, rec any) {
+	t.Helper()
+	meta, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.IngestEvent(topic, partition, meta); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pushRecord publishes one record JSON-encoded, as the collector does.
+func pushRecord(p *mofka.Producer, rec any) error {
+	meta, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	return p.PushRaw(meta, nil)
 }
 
 // seedBroker creates the provenance topics and publishes a workload's worth
@@ -248,8 +275,8 @@ func seedBroker(t *testing.T, b *mofka.Broker, tasks int) {
 		}
 		producers[name] = tp.NewProducer(mofka.ProducerOptions{BatchSize: 16})
 	}
-	push := func(topic string, m mofka.Metadata) {
-		if err := producers[topic].Push(m, nil); err != nil {
+	push := func(topic string, m any) {
+		if err := pushRecord(producers[topic], m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,26 +285,26 @@ func seedBroker(t *testing.T, b *mofka.Broker, tasks int) {
 		worker := fmt.Sprintf("w%d", i%4)
 		start := float64(i) * 0.25
 		stop := start + 0.8 + 0.01*float64(i%11)
-		push(provenance.TopicTaskMeta, provenance.TaskMetaEvent(dask.TaskMeta{
+		push(provenance.TopicTaskMeta, dask.TaskMeta{
 			Key: dask.TaskKey(key), Prefix: "load", Group: "load", GraphID: 1, At: sim.Seconds(start),
-		}))
-		push(provenance.TopicTransitions, provenance.TransitionEvent(dask.Transition{
+		})
+		push(provenance.TopicTransitions, dask.Transition{
 			Key: dask.TaskKey(key), From: "waiting", To: "processing", At: sim.Seconds(start),
-		}))
-		push(provenance.TopicTransitions, provenance.TransitionEvent(dask.Transition{
+		})
+		push(provenance.TopicTransitions, dask.Transition{
 			Key: dask.TaskKey(key), From: "processing", To: "memory", At: sim.Seconds(stop),
-		}))
+		})
 		push(provenance.TopicExecutions, exec(key, worker, start, stop))
 		if i%3 == 0 {
-			push(provenance.TopicTransfers, provenance.TransferEvent(dask.Transfer{
+			push(provenance.TopicTransfers, dask.Transfer{
 				Key: dask.TaskKey(key), From: worker, To: fmt.Sprintf("w%d", (i+1)%4),
 				Bytes: 4 << 16, Start: sim.Seconds(stop), Stop: sim.Seconds(stop + 0.03),
-			}))
+			})
 		}
 		if i%5 == 0 {
-			push(provenance.TopicWarnings, provenance.WarningEvent(dask.Warning{
+			push(provenance.TopicWarnings, dask.Warning{
 				Kind: dask.WarnEventLoop, Worker: worker, At: sim.Seconds(stop), Duration: sim.Seconds(1.5),
-			}))
+			})
 		}
 	}
 	for _, p := range producers {
@@ -324,9 +351,9 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 	}
 	p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 1})
 	for i := 0; i < 3; i++ {
-		err := p.Push(provenance.WarningEvent(dask.Warning{
+		err := pushRecord(p, dask.Warning{
 			Kind: dask.WarnEventLoop, Worker: "w0", At: sim.Seconds(float64(i)), Duration: sim.Seconds(2),
-		}), nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,12 +367,12 @@ func TestMonitorEmitsAnomalies(t *testing.T) {
 		t.Fatal("no anomaly on subscription channel")
 	}
 	m.Stop()
-	metas, err := provenance.DrainTopic(b, provenance.TopicAnomalies)
+	anoms, err := provenance.Drain[Anomaly](b, provenance.TopicAnomalies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(metas) != 1 || ParseAnomaly(metas[0]).Subject != "w0" {
-		t.Fatalf("anomalies topic = %v", metas)
+	if len(anoms) != 1 || anoms[0].Subject != "w0" {
+		t.Fatalf("anomalies topic = %v", anoms)
 	}
 }
 
@@ -467,7 +494,7 @@ func TestConcurrentProducersMonitorAndReaders(t *testing.T) {
 			p := tp.NewProducer(mofka.ProducerOptions{BatchSize: 8})
 			for i := 0; i < perProducer; i++ {
 				key := fmt.Sprintf("load-%d-%04d", g, i)
-				if err := p.Push(exec(key, fmt.Sprintf("w%d", g), float64(i), float64(i)+1), nil); err != nil {
+				if err := pushRecord(p, exec(key, fmt.Sprintf("w%d", g), float64(i), float64(i)+1)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -574,9 +601,9 @@ func TestTailWALRejectsNonDataDir(t *testing.T) {
 func TestAggregatorRecoveryLane(t *testing.T) {
 	a := NewAggregator(AggregatorOptions{})
 	warn := func(kind dask.WarningKind, at sim.Time, worker, msg string) {
-		a.IngestEvent(provenance.TopicWarnings, 0, provenance.WarningEvent(dask.Warning{
+		ingest(t, a, provenance.TopicWarnings, 0, dask.Warning{
 			Kind: kind, Worker: worker, At: at, Message: msg,
-		}))
+		})
 	}
 	// Out-of-order ingest, plus a non-recovery warning that must stay out of
 	// the lane.
@@ -603,9 +630,9 @@ func TestAggregatorRecoveryLane(t *testing.T) {
 func TestAggregatorRecoveryLaneCapped(t *testing.T) {
 	a := NewAggregator(AggregatorOptions{RecoveryEventCap: 2})
 	for i := 0; i < 5; i++ {
-		a.IngestEvent(provenance.TopicWarnings, 0, provenance.WarningEvent(dask.Warning{
+		ingest(t, a, provenance.TopicWarnings, 0, dask.Warning{
 			Kind: dask.WarnTaskRescheduled, At: sim.Seconds(float64(i)),
-		}))
+		})
 	}
 	s := a.Snapshot()
 	if len(s.Recovery) != 2 {
@@ -618,11 +645,11 @@ func TestAggregatorRecoveryLaneCapped(t *testing.T) {
 }
 
 // specEv builds one speculation event's metadata.
-func specEv(kind, key string, wasted float64, at float64) mofka.Metadata {
-	return provenance.SpeculationEventMeta(dask.SpeculationEvent{
+func specEv(kind, key string, wasted float64, at float64) any {
+	return dask.SpeculationEvent{
 		Kind: kind, Key: dask.TaskKey(key), Primary: "tcp://n0:40000",
 		Duplicate: "tcp://n1:40002", Wasted: sim.Seconds(wasted), At: sim.Seconds(at),
-	})
+	}
 }
 
 // TestAggregatorSpeculationLane feeds the speculation topic and checks the
@@ -631,7 +658,7 @@ func specEv(kind, key string, wasted float64, at float64) mofka.Metadata {
 func TestAggregatorSpeculationLane(t *testing.T) {
 	type fed struct {
 		part int
-		m    mofka.Metadata
+		m    any
 	}
 	events := []fed{
 		{0, specEv(dask.SpecLaunched, "work-01", 0, 1)},
@@ -647,7 +674,7 @@ func TestAggregatorSpeculationLane(t *testing.T) {
 	feed := func(order []int) Summary {
 		a := NewAggregator(AggregatorOptions{})
 		for _, i := range order {
-			a.IngestEvent(provenance.TopicSpeculation, events[i].part, events[i].m)
+			ingest(t, a, provenance.TopicSpeculation, events[i].part, events[i].m)
 		}
 		a.SetWall(10)
 		return a.Snapshot()
@@ -685,7 +712,7 @@ func TestAggregatorSpeculationLane(t *testing.T) {
 
 	// Runs with no speculation events leave the lane absent entirely.
 	a := NewAggregator(AggregatorOptions{})
-	a.IngestEvent(provenance.TopicExecutions, 0, exec("load-0001", "w0", 0, 1))
+	ingest(t, a, provenance.TopicExecutions, 0, exec("load-0001", "w0", 0, 1))
 	if s := a.Snapshot(); s.Speculation != nil {
 		t.Fatalf("speculation lane present without events: %+v", s.Speculation)
 	}

@@ -33,7 +33,9 @@ func ReplayBroker(b *mofka.Broker, agg *Aggregator) error {
 				return fmt.Errorf("live: replay %s[%d]: %w", topic, p, err)
 			}
 			for _, ev := range evs {
-				agg.IngestEvent(topic, ev.Partition, provenance.MustParse(ev))
+				if err := agg.IngestEvent(topic, ev.Partition, ev.Metadata); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -293,7 +295,9 @@ func (t *RemoteTailer) sweep() error {
 					break
 				}
 				for _, ev := range evs {
-					t.agg.IngestEvent(topic, p, provenance.MustParse(ev))
+					if err := t.agg.IngestEvent(topic, p, ev.Metadata); err != nil {
+						return err
+					}
 				}
 				t.next[k] = evs[len(evs)-1].ID + 1
 			}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"taskprov/internal/mofka"
+	"taskprov/internal/mofka/wal"
 )
 
 // Durable cluster layout:
@@ -39,23 +40,7 @@ func writeClusterMeta(dataDir string, m clusterMeta) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dataDir, ".tmp-cluster-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }()
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dataDir, clusterMetaFile))
+	return wal.WriteFileAtomic(filepath.Join(dataDir, clusterMetaFile), b)
 }
 
 func loadClusterMeta(dataDir string) (clusterMeta, bool, error) {

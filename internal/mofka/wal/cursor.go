@@ -64,35 +64,41 @@ func (s *CursorStore) All() map[string]uint64 {
 	return out
 }
 
-// flushLocked writes the map to a temp file, fsyncs it, and renames it over
-// the store path, so a crash mid-write leaves the previous version intact.
+// flushLocked installs the map atomically over the store path, so a crash
+// mid-write leaves the previous version intact.
 func (s *CursorStore) flushLocked() error {
 	b, err := json.Marshal(s.m)
 	if err != nil {
 		return fmt.Errorf("wal: encode cursors: %w", err)
 	}
-	dir := filepath.Dir(s.path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(s.path), 0o755); err != nil {
 		return fmt.Errorf("wal: cursor store dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".cursors-*")
-	if err != nil {
-		return fmt.Errorf("wal: cursor temp file: %w", err)
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after the rename
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: write cursors: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: sync cursors: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: close cursor temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
+	if err := WriteFileAtomic(s.path, b); err != nil {
 		return fmt.Errorf("wal: install cursors: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic installs data at path so that a crash leaves either the
+// previous file or the new one, never a torn mix: it writes a temp file in
+// the same directory, fsyncs it, closes it, and renames it over path.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() { _ = os.Remove(tmp.Name()) }() // no-op after the rename
+	if _, err := tmp.Write(data); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

@@ -42,7 +42,7 @@ type PrefixShare struct {
 // Correlate computes the report from one run's artifacts.
 func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, error) {
 	rep := CorrelationReport{BinSeconds: binSeconds}
-	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return rep, err
 	}
@@ -58,8 +58,7 @@ func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, e
 	rows := make([]taskRow, 0, len(execs))
 	end := art.Meta.WallSeconds
 	var durs, sizes []float64
-	for _, m := range execs {
-		e := provenance.ParseExecution(m)
+	for _, e := range execs {
 		r := taskRow{
 			key: e.Key, start: e.Start.Seconds(), stop: e.Stop.Seconds(),
 			dur: (e.Stop - e.Start).Seconds(), size: float64(e.OutputSize),
@@ -94,13 +93,12 @@ func Correlate(art *core.RunArtifacts, binSeconds float64) (CorrelationReport, e
 			longActive[b] += overlap(r.start, r.stop, float64(b)*binSeconds, float64(b+1)*binSeconds)
 		}
 	}
-	warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	warns, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return rep, err
 	}
 	warnBins := make([]float64, nbins)
-	for _, m := range warns {
-		w := provenance.ParseWarning(m)
+	for _, w := range warns {
 		b := int(w.At.Seconds() / binSeconds)
 		if b >= 0 && b < nbins {
 			warnBins[b]++

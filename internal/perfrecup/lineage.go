@@ -69,13 +69,12 @@ type LineageIO struct {
 func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	l := &Lineage{Key: key, Prefix: dask.KeyPrefix(dask.TaskKey(key)), Group: dask.KeyGroup(dask.TaskKey(key))}
 
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
+	metas, err := provenance.Drain[dask.TaskMeta](art.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return nil, err
 	}
 	found := false
-	for _, m := range metas {
-		tm := provenance.ParseTaskMeta(m)
+	for _, tm := range metas {
 		if string(tm.Key) == key {
 			l.GraphID = tm.GraphID
 			l.SubmittedAt = tm.At.Seconds()
@@ -90,12 +89,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		return nil, fmt.Errorf("perfrecup: task %q not found in run %s", key, art.Meta.JobID)
 	}
 
-	trans, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
+	trans, err := provenance.Drain[dask.Transition](art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range trans {
-		t := provenance.ParseTransition(m)
+	for _, t := range trans {
 		if string(t.Key) == key {
 			l.States = append(l.States, LineageState{
 				From: string(t.From), To: string(t.To),
@@ -105,12 +103,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 	}
 	sort.Slice(l.States, func(a, b int) bool { return l.States[a].At < l.States[b].At })
 
-	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range execs {
-		e := provenance.ParseExecution(m)
+	for _, e := range execs {
 		if string(e.Key) == key {
 			l.Worker = e.Worker
 			l.Hostname = e.Hostname
@@ -121,12 +118,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	transfers, err := provenance.DrainTopic(art.Broker, provenance.TopicTransfers)
+	transfers, err := provenance.Drain[dask.Transfer](art.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range transfers {
-		t := provenance.ParseTransfer(m)
+	for _, t := range transfers {
 		if string(t.Key) == key {
 			l.Movements = append(l.Movements, LineageMove{
 				From: t.From, To: t.To, Bytes: t.Bytes,
@@ -135,12 +131,11 @@ func BuildLineage(art *core.RunArtifacts, key string) (*Lineage, error) {
 		}
 	}
 
-	steals, err := provenance.DrainTopic(art.Broker, provenance.TopicSteals)
+	steals, err := provenance.Drain[dask.StealEvent](art.Broker, provenance.TopicSteals)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range steals {
-		s := provenance.ParseSteal(m)
+	for _, s := range steals {
 		if string(s.Key) == key {
 			l.Steals = append(l.Steals, fmt.Sprintf("%s -> %s @ %.3fs", s.Victim, s.Thief, s.At.Seconds()))
 		}

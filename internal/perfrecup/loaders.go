@@ -16,11 +16,11 @@ import (
 // ExecutionsView tabulates task executions: one row per executed task with
 // its placement, thread, window, and output size.
 func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	recs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	prefix := make([]string, n)
 	group := make([]string, n)
@@ -32,8 +32,7 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 	dur := make([]float64, n)
 	size := make([]int64, n)
 	graph := make([]int64, n)
-	for i, m := range metas {
-		e := provenance.ParseExecution(m)
+	for i, e := range recs {
 		key[i] = string(e.Key)
 		prefix[i] = dask.KeyPrefix(e.Key)
 		group[i] = dask.KeyGroup(e.Key)
@@ -63,19 +62,18 @@ func ExecutionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransitionsView tabulates every captured state transition.
 func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTransitions)
+	recs, err := provenance.Drain[dask.Transition](art.Broker, provenance.TopicTransitions)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	from := make([]string, n)
 	to := make([]string, n)
 	stim := make([]string, n)
 	loc := make([]string, n)
 	at := make([]float64, n)
-	for i, m := range metas {
-		t := provenance.ParseTransition(m)
+	for i, t := range recs {
 		key[i] = string(t.Key)
 		from[i] = string(t.From)
 		to[i] = string(t.To)
@@ -95,11 +93,11 @@ func TransitionsView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // TransfersView tabulates inter-worker dependency transfers.
 func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTransfers)
+	recs, err := provenance.Drain[dask.Transfer](art.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	from := make([]string, n)
 	to := make([]string, n)
@@ -110,8 +108,7 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 	same := make([]bool, n)
 	viaProxy := make([]bool, n)
 	resolve := make([]float64, n)
-	for i, m := range metas {
-		t := provenance.ParseTransfer(m)
+	for i, t := range recs {
 		key[i] = string(t.Key)
 		from[i] = t.From
 		to[i] = t.To
@@ -142,11 +139,11 @@ func TransfersView(art *core.RunArtifacts) (*frame.Frame, error) {
 // blob's logical size and the store's resident footprint after the
 // operation — the raw series behind the live resident-bytes lane.
 func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicProxy)
+	recs, err := provenance.Drain[dask.ProxyEvent](art.Broker, provenance.TopicProxy)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	op := make([]string, n)
 	key := make([]string, n)
 	worker := make([]string, n)
@@ -154,8 +151,7 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 	resident := make([]int64, n)
 	resolve := make([]float64, n)
 	at := make([]float64, n)
-	for i, m := range metas {
-		e := provenance.ParseProxyEvent(m)
+	for i, e := range recs {
 		op[i] = e.Op
 		key[i] = string(e.Key)
 		worker[i] = e.Worker
@@ -177,18 +173,17 @@ func ProxyView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // WarningsView tabulates runtime warnings (unresponsive event loop, GC).
 func WarningsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	recs, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	kind := make([]string, n)
 	worker := make([]string, n)
 	host := make([]string, n)
 	at := make([]float64, n)
 	dur := make([]float64, n)
-	for i, m := range metas {
-		w := provenance.ParseWarning(m)
+	for i, w := range recs {
 		kind[i] = string(w.Kind)
 		worker[i] = w.Worker
 		host[i] = w.Hostname
@@ -280,19 +275,18 @@ func PosixView(art *core.RunArtifacts) (*frame.Frame, error) {
 // TaskMetaView tabulates the static task metadata (key, prefix, group,
 // graph, dependency count).
 func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicTaskMeta)
+	recs, err := provenance.Drain[dask.TaskMeta](art.Broker, provenance.TopicTaskMeta)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	key := make([]string, n)
 	prefix := make([]string, n)
 	group := make([]string, n)
 	graph := make([]int64, n)
 	ndeps := make([]int64, n)
 	at := make([]float64, n)
-	for i, m := range metas {
-		tm := provenance.ParseTaskMeta(m)
+	for i, tm := range recs {
 		key[i] = string(tm.Key)
 		prefix[i] = tm.Prefix
 		group[i] = tm.Group
@@ -312,18 +306,17 @@ func TaskMetaView(art *core.RunArtifacts) (*frame.Frame, error) {
 
 // HeartbeatsView tabulates worker heartbeat samples.
 func HeartbeatsView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicHeartbeats)
+	recs, err := provenance.Drain[dask.WorkerMetrics](art.Broker, provenance.TopicHeartbeats)
 	if err != nil {
 		return nil, err
 	}
-	n := len(metas)
+	n := len(recs)
 	worker := make([]string, n)
 	at := make([]float64, n)
 	mem := make([]int64, n)
 	execing := make([]int64, n)
 	ready := make([]int64, n)
-	for i, m := range metas {
-		h := provenance.ParseHeartbeat(m)
+	for i, h := range recs {
 		worker[i] = h.Worker
 		at[i] = h.At.Seconds()
 		mem[i] = h.Memory

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"taskprov/internal/core"
+	"taskprov/internal/dask"
 	"taskprov/internal/perfrecup/frame"
 	"taskprov/internal/provenance"
 )
@@ -16,7 +17,7 @@ import (
 // (at, kind, worker, message) so the view is deterministic regardless of
 // partition drain order. Empty for fault-free runs.
 func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	recs, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return nil, err
 	}
@@ -25,8 +26,7 @@ func RecoveryTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 		at, dur                 float64
 	}
 	var rows []row
-	for _, m := range metas {
-		w := provenance.ParseWarning(m)
+	for _, w := range recs {
 		if !w.Kind.IsRecovery() {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"taskprov/internal/core"
+	"taskprov/internal/dask"
 	"taskprov/internal/perfrecup/frame"
 	"taskprov/internal/provenance"
 )
@@ -17,7 +18,7 @@ import (
 // (at, kind, key, duplicate, detail) so the view is deterministic regardless
 // of partition drain order. Empty for runs without speculation or retries.
 func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicSpeculation)
+	recs, err := provenance.Drain[dask.SpeculationEvent](art.Broker, provenance.TopicSpeculation)
 	if err != nil {
 		return nil, err
 	}
@@ -26,9 +27,8 @@ func SpeculationTimelineView(art *core.RunArtifacts) (*frame.Frame, error) {
 		at, wasted                                    float64
 		attempt                                       int
 	}
-	rows := make([]row, 0, len(metas))
-	for _, m := range metas {
-		e := provenance.ParseSpeculationEvent(m)
+	rows := make([]row, 0, len(recs))
+	for _, e := range recs {
 		rows = append(rows, row{
 			kind: e.Kind, key: string(e.Key),
 			primary: e.Primary, duplicate: e.Duplicate, winner: e.Winner,

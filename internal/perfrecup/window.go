@@ -53,13 +53,12 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 	w := WindowStats{From: from, To: to, Warnings: map[string]int{}}
 
-	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		return w, err
 	}
 	byPrefix := map[string]float64{}
-	for _, m := range execs {
-		e := provenance.ParseExecution(m)
+	for _, e := range execs {
 		s, p := e.Start.Seconds(), e.Stop.Seconds()
 		ov := overlap(s, p, from, to)
 		if ov <= 0 {
@@ -96,12 +95,11 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		}
 	}
 
-	transfers, err := provenance.DrainTopic(art.Broker, provenance.TopicTransfers)
+	transfers, err := provenance.Drain[dask.Transfer](art.Broker, provenance.TopicTransfers)
 	if err != nil {
 		return w, err
 	}
-	for _, m := range transfers {
-		t := provenance.ParseTransfer(m)
+	for _, t := range transfers {
 		ov := overlap(t.Start.Seconds(), t.Stop.Seconds(), from, to)
 		if ov <= 0 {
 			continue
@@ -111,12 +109,11 @@ func Window(art *core.RunArtifacts, from, to float64) (WindowStats, error) {
 		w.CommSeconds += ov
 	}
 
-	warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	warns, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		return w, err
 	}
-	for _, m := range warns {
-		wr := provenance.ParseWarning(m)
+	for _, wr := range warns {
 		at := wr.At.Seconds()
 		if at >= from && at < to {
 			w.Warnings[string(wr.Kind)]++
@@ -160,13 +157,12 @@ type ScheduleComparison struct {
 func CompareSchedules(a, b *core.RunArtifacts) (ScheduleComparison, error) {
 	var out ScheduleComparison
 	load := func(art *core.RunArtifacts) (map[string]dask.TaskExecution, error) {
-		metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+		recs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 		if err != nil {
 			return nil, err
 		}
-		m := make(map[string]dask.TaskExecution, len(metas))
-		for _, meta := range metas {
-			e := provenance.ParseExecution(meta)
+		m := make(map[string]dask.TaskExecution, len(recs))
+		for _, e := range recs {
 			m[string(e.Key)] = e
 		}
 		return m, nil

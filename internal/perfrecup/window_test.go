@@ -1,6 +1,7 @@
 package perfrecup
 
 import (
+	"encoding/json"
 	"testing"
 
 	"taskprov/internal/core"
@@ -15,14 +16,18 @@ import (
 func windowArt(t *testing.T, execs []dask.TaskExecution, transfers []dask.Transfer, warns []dask.Warning) *core.RunArtifacts {
 	t.Helper()
 	b := mofka.NewStandaloneBroker()
-	push := func(topic string, metas []mofka.Metadata) {
+	push := func(topic string, recs []any) {
 		tp, err := b.OpenOrCreateTopic(mofka.TopicConfig{Name: topic, Partitions: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := tp.NewProducer(mofka.ProducerOptions{})
-		for _, m := range metas {
-			if err := p.Push(m, nil); err != nil {
+		for _, rec := range recs {
+			meta, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.PushRaw(meta, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -30,15 +35,15 @@ func windowArt(t *testing.T, execs []dask.TaskExecution, transfers []dask.Transf
 			t.Fatal(err)
 		}
 	}
-	var em, tm, wm []mofka.Metadata
+	var em, tm, wm []any
 	for _, e := range execs {
-		em = append(em, provenance.ExecutionEvent(e))
+		em = append(em, e)
 	}
 	for _, tr := range transfers {
-		tm = append(tm, provenance.TransferEvent(tr))
+		tm = append(tm, tr)
 	}
 	for _, w := range warns {
-		wm = append(wm, provenance.WarningEvent(w))
+		wm = append(wm, w)
 	}
 	push(provenance.TopicExecutions, em)
 	push(provenance.TopicTransfers, tm)

@@ -139,13 +139,12 @@ func Reconstruct(dataDir string) (*State, error) {
 	for key, t := range cp.Tasks {
 		tasks[key] = doneTask{graph: t.GraphID, size: t.Size, stop: t.StopSeconds, files: t.Files}
 	}
-	execs, err := provenance.DrainTopic(broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](broker, provenance.TopicExecutions)
 	if err != nil {
 		return nil, fmt.Errorf("resume: executions: %w", err)
 	}
 	maxAt := cp.AtSeconds
-	for _, m := range execs {
-		rec := provenance.ParseExecution(m)
+	for _, rec := range execs {
 		st.ExecCounts[rec.Key]++
 		stop := rec.Stop.Seconds()
 		maxAt = math.Max(maxAt, stop)
@@ -168,12 +167,11 @@ func Reconstruct(dataDir string) (*State, error) {
 	for _, b := range cp.Blobs {
 		blobs[b.Key] = &blobState{residual: 1, owner: b.Owner, size: b.Size, at: cp.AtSeconds}
 	}
-	proxyEvents, err := provenance.DrainTopic(broker, provenance.TopicProxy)
+	proxyEvents, err := provenance.Drain[dask.ProxyEvent](broker, provenance.TopicProxy)
 	if err != nil {
 		return nil, fmt.Errorf("resume: proxy events: %w", err)
 	}
-	for _, m := range proxyEvents {
-		ev := provenance.ParseProxyEvent(m)
+	for _, ev := range proxyEvents {
 		at := ev.At.Seconds()
 		maxAt = math.Max(maxAt, at)
 		if at <= cp.AtSeconds {
@@ -234,16 +232,15 @@ func Reconstruct(dataDir string) (*State, error) {
 			}
 		}
 	}
-	graphEvents, err := provenance.DrainTopic(broker, provenance.TopicGraphs)
+	graphEvents, err := provenance.Drain[provenance.GraphEvent](broker, provenance.TopicGraphs)
 	if err != nil {
 		return nil, fmt.Errorf("resume: graph events: %w", err)
 	}
-	for _, m := range graphEvents {
-		maxAt = math.Max(maxAt, provenance.Num(m, "at"))
-		if provenance.Str(m, "event") == "done" {
-			id := int(provenance.Num(m, "graph_id"))
-			doneLogged[id] = true
-			doneEvidenced[id] = true
+	for _, g := range graphEvents {
+		maxAt = math.Max(maxAt, g.At)
+		if g.Event == provenance.GraphDone {
+			doneLogged[g.GraphID] = true
+			doneEvidenced[g.GraphID] = true
 		}
 	}
 	for id := range doneLogged {
@@ -274,18 +271,26 @@ func Reconstruct(dataDir string) (*State, error) {
 		st.FileEffects = append(st.FileEffects, te.files...)
 	}
 
-	// The remaining topics only contribute to the clock frontier.
+	// The remaining topics only contribute to the clock frontier, read as
+	// the float seconds on the wire.
+	type clockStamps struct {
+		At   float64 `json:"at"`
+		Stop float64 `json:"stop"`
+	}
 	for _, topic := range []string{
 		provenance.TopicTaskMeta, provenance.TopicTransitions, provenance.TopicTransfers,
 		provenance.TopicWarnings, provenance.TopicHeartbeats, provenance.TopicSteals,
 	} {
-		metas, err := provenance.DrainTopic(broker, topic)
-		if err != nil {
+		stamps, err := provenance.Drain[clockStamps](broker, topic)
+		if errors.Is(err, mofka.ErrNoTopic) {
 			continue // topic may not exist in minimal logs
 		}
-		for _, m := range metas {
-			maxAt = math.Max(maxAt, provenance.Num(m, "at"))
-			maxAt = math.Max(maxAt, provenance.Num(m, "stop"))
+		if err != nil {
+			return nil, fmt.Errorf("resume: %s: %w", topic, err)
+		}
+		for _, c := range stamps {
+			maxAt = math.Max(maxAt, c.At)
+			maxAt = math.Max(maxAt, c.Stop)
 		}
 	}
 	if maxAt < 0 {

@@ -11,6 +11,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 )
 
@@ -45,3 +47,38 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats the time as seconds with microsecond precision, e.g. "12.345678s".
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
+
+// MarshalJSON writes t as a JSON number of float seconds, in exactly the text
+// encoding/json writes for the float64 t.Seconds(): provenance events carry
+// virtual times this way on the wire.
+func (t Time) MarshalJSON() ([]byte, error) {
+	f := t.Seconds()
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(make([]byte, 0, 24), f, format, -1, 64)
+	if format == 'e' {
+		// Like encoding/json, shorten a two-digit negative exponent: e-09 to e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// UnmarshalJSON reads float seconds back through Seconds, so a decoded time
+// is exactly what Seconds makes of the float the producer wrote. JSON null
+// leaves t unchanged.
+func (t *Time) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	f, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("sim: time %s: %w", b, err)
+	}
+	*t = Seconds(f)
+	return nil
+}

@@ -17,15 +17,14 @@ import (
 // latest output size.
 func execSummary(t *testing.T, art *core.RunArtifacts) (counts map[dask.TaskKey]int, sizes map[dask.TaskKey]int64) {
 	t.Helper()
-	metas, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	metas, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts = make(map[dask.TaskKey]int)
 	sizes = make(map[dask.TaskKey]int64)
 	stops := make(map[dask.TaskKey]float64)
-	for _, m := range metas {
-		e := provenance.ParseExecution(m)
+	for _, e := range metas {
 		counts[e.Key]++
 		if s := e.Stop.Seconds(); s >= stops[e.Key] {
 			stops[e.Key] = s

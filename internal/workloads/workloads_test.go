@@ -115,14 +115,13 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 7: a burst of unresponsive-event-loop warnings early in the run,
 	// correlated with the read_parquet-fused-assign tasks.
-	warns, err := provenance.DrainTopic(art.Broker, provenance.TopicWarnings)
+	warns, err := provenance.Drain[dask.Warning](art.Broker, provenance.TopicWarnings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var loopWarns int
 	var lastWarnAt float64
-	for _, m := range warns {
-		w := provenance.ParseWarning(m)
+	for _, w := range warns {
 		if w.Kind == dask.WarnEventLoop {
 			loopWarns++
 			if w.At.Seconds() > lastWarnAt {
@@ -139,13 +138,12 @@ func TestXGBoostTableI(t *testing.T) {
 
 	// Fig. 6: the read_parquet-fused-assign outputs exceed Dask's
 	// recommended 128 MB.
-	execs, err := provenance.DrainTopic(art.Broker, provenance.TopicExecutions)
+	execs, err := provenance.Drain[dask.TaskExecution](art.Broker, provenance.TopicExecutions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var readMax, readMin int64
-	for _, m := range execs {
-		e := provenance.ParseExecution(m)
+	for _, e := range execs {
 		if dask.KeyPrefix(e.Key) == "read_parquet-fused-assign" {
 			if readMin == 0 || e.OutputSize < readMin {
 				readMin = e.OutputSize
